@@ -226,9 +226,8 @@ def _aggregate_closed_form(model: CoalitionModel, game: Game, which: str) -> flo
         raise SingularSystemError("coefficient denominator theta + t - 1 vanishes")
     coef = np.zeros(n + 1)
     coef[1:] = (t[1:] * (th + rh - 1.0) - n * (th - 1.0)) / denom[1:]
-    empty_w = math.exp(log_beta(th, rh + n) - log_beta(th, rh))
-    # v(empty) = 0 by construction, so the subtracted term vanishes.
-    return float((coef * weighted).sum() - n * empty_w * 0.0)
+    # v(empty) = 0 by construction, so the empty coalition adds no term.
+    return float((coef * weighted).sum())
 
 
 def aggregate_gain_closed_form(model: CoalitionModel, game: Game) -> float:

@@ -17,9 +17,5 @@ class SingularSystemError(DichotomyError, ArithmeticError):
     """A denominator of a closed-form solution degenerates."""
 
 
-class ConvergenceError(DichotomyError, ArithmeticError):
-    """An iterative scheme failed to reach its tolerance."""
-
-
 class InvariantViolation(DichotomyError):
     """A mathematical guarantee of the library was observed to fail."""

@@ -2,14 +2,16 @@
 
 All Beta-function ratios elsewhere in the library are formed in log space and
 exponentiated last, so the only primitives needed here are ``log_gamma``,
-``log_beta`` and the regularized incomplete beta ``reg_inc_beta``.
+``log_beta`` and ``log_binom``.  They are pure Python, so the core modules
+stay cheap to import; only ``posterior`` needs an incomplete beta, and it
+takes that from a compiled special-function library.
 """
 
 import math
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 
-__all__ = ["log_gamma", "log_beta", "log_binom", "reg_inc_beta"]
+__all__ = ["log_gamma", "log_beta", "log_binom"]
 
 # Lanczos series, g = 607/128, 14 terms: relative error below 1e-14 for x > 0.
 _LANCZOS_COEF = (
@@ -28,15 +30,6 @@ _LANCZOS_COEF = (
     -0.261908384015814087e-4,
     0.368991826595316234e-5,
 )
-
-CF_TOL = 1e-14
-CF_MAX_ITER = 400
-# Above this value for BOTH shape parameters the continued fraction can need
-# more than CF_MAX_ITER iterations near the mean (the count grows like
-# sqrt(min(a, b))), so a Gauss-Legendre tail integral takes over instead.
-_LARGE_AB_SWITCH = 3000.0
-
-_FPMIN = 1e-300
 
 
 def log_gamma(x: float) -> float:
@@ -69,125 +62,3 @@ def log_binom(n: float, k: float) -> float:
     if k == 0 or k == n:
         return 0.0
     return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0)
-
-
-def _betacf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz scheme)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
-    d = 1.0 / d
-    h = d
-    for m in range(1, CF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) <= CF_TOL:
-            return h
-    raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge in "
-        f"{CF_MAX_ITER} iterations (a={a}, b={b}, x={x})"
-    )
-
-
-# 18-point Gauss-Legendre abscissas and weights on (0, 1).
-_GL_Y = (
-    0.0021695375159141994, 0.011413521097787704, 0.027972308950302116,
-    0.051727015600492421, 0.082502225484340941, 0.12007019910960293,
-    0.16415283300752470, 0.21442376986779355, 0.27051082840644336,
-    0.33199876341447887, 0.39843234186401943, 0.46931971407375483,
-    0.54413605556657973, 0.62232745288031077, 0.70331500465597174,
-    0.78649910768313447, 0.87126389619061517, 0.95698180152629142,
-)
-_GL_W = (
-    0.0055657196642445571, 0.012915947284065419, 0.020181515297735382,
-    0.027298621498568734, 0.034213810770299537, 0.040875750923643261,
-    0.047235083490265582, 0.053244713977759692, 0.058860144245324798,
-    0.064039797355015485, 0.068745323835736408, 0.072941885005653087,
-    0.076598410645870640, 0.079687828912071670, 0.082187266704339706,
-    0.084078218979661945, 0.085346685739338721, 0.085983275670394821,
-)
-
-
-def _stirling_tail(z: float) -> float:
-    """Correction series of Stirling's formula for ln Gamma(z), large z."""
-    r = 1.0 / (z * z)
-    return (1.0 / 12.0 - (1.0 / 360.0 - (1.0 / 1260.0 - r / 1680.0) * r) * r) / z
-
-
-def _lower_tail_quad(a: float, b: float, x: float) -> float:
-    """Lower-tail mass of Beta(a, b) below x, for large a and b with x <= mean.
-
-    The density is then sharply peaked, so integrating from x away from the
-    bulk over roughly ten standard deviations captures the tail to full
-    accuracy with a fixed Gauss-Legendre rule.  The log of the density scale
-    x^(a-1) (1-x)^(b-1) / B(a, b) at the mean is formed from Stirling's
-    expansion, which avoids the cancellation of three huge log-gamma values.
-    """
-    if x <= 0.0:
-        return 0.0
-    a1 = a - 1.0
-    b1 = b - 1.0
-    mu = a / (a + b)
-    muc = b / (a + b)
-    sd = math.sqrt(a * b / ((a + b) * (a + b) * (a + b + 1.0)))
-    xu = max(0.0, min(mu - 10.0 * sd, x - 5.0 * sd))
-    s = 0.0
-    for y, w in zip(_GL_Y, _GL_W):
-        u = x + (xu - x) * y
-        # Density relative to its value at the mean; the displacement u - mu
-        # is formed exactly, so neither huge exponent loses precision.
-        d = u - mu
-        s += w * math.exp(a1 * math.log1p(d / mu) + b1 * math.log1p(-d / muc))
-    ln_peak = 0.5 * (
-        3.0 * math.log(a + b) - math.log(2.0 * math.pi) - math.log(a) - math.log(b)
-    ) - (_stirling_tail(a) + _stirling_tail(b) - _stirling_tail(a + b))
-    return s * (x - xu) * math.exp(ln_peak)
-
-
-def _reg_inc_beta_quad(a: float, b: float, x: float) -> float:
-    # Reduce to a single canonical lower-tail evaluation so that I_x(a, b)
-    # and I_{1-x}(b, a) are computed from the same float, keeping their sum
-    # at exactly 1 up to one rounding.
-    if x * (a + b) <= a:
-        return _lower_tail_quad(a, b, x)
-    return 1.0 - _lower_tail_quad(b, a, 1.0 - x)
-
-
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta I_x(a, b) for 0 <= x <= 1 and a, b > 0."""
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"reg_inc_beta requires a, b > 0, got ({a}, {b})")
-    if x < 0.0 or x > 1.0:
-        raise DomainError(f"reg_inc_beta requires 0 <= x <= 1, got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    if a > _LARGE_AB_SWITCH and b > _LARGE_AB_SWITCH:
-        return _reg_inc_beta_quad(a, b, x)
-    lbt = a * math.log(x) + b * math.log1p(-x) - log_beta(a, b)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(lbt) * _betacf(a, b, x) / a
-    return 1.0 - math.exp(lbt) * _betacf(b, a, 1.0 - x) / b

@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import betainc, betaincinv
 
 from .coalition import PosteriorRate
 from .errors import DomainError
-from .numerics import log_beta, reg_inc_beta
+from .numerics import log_beta
 from .serialize import csv_line
 from .taxpolicy import asymptotic_tax_rule, solve_theta_rho
 
@@ -39,14 +39,6 @@ __all__ = [
     "verify_semivariance_sandwich",
     "verify_mad_ratio",
 ]
-
-# Beyond this shape size the incomplete-beta route gives way to direct
-# quadrature of the density when computing semivariances.
-QUAD_FALLBACK = 1e7
-
-MEDIAN_MAX_ITER = 200
-MEDIAN_XTOL = 1e-13
-
 
 def _check_shapes(a: float, b: float) -> None:
     if not (a > 0.0 and b > 0.0):
@@ -83,18 +75,9 @@ def beta_raw_moment(a: float, b: float, k: int) -> float:
 
 
 def beta_median(a: float, b: float) -> float:
-    """Median by bisection on the regularized incomplete beta."""
+    """Median as the inverse regularized incomplete beta at 1/2."""
     _check_shapes(a, b)
-    lo, hi = 0.0, 1.0
-    for _ in range(MEDIAN_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        if reg_inc_beta(mid, a, b) < 0.5:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= MEDIAN_XTOL:
-            break
-    return 0.5 * (lo + hi)
+    return float(betaincinv(a, b, 0.5))
 
 
 def mad_about_mean(a: float, b: float) -> float:
@@ -118,51 +101,21 @@ def mad_about_mean(a: float, b: float) -> float:
     return math.exp(ln)
 
 
-def _lower_semivariance_quad(a: float, b: float) -> float:
-    # Standardized coordinates keep the integrand O(1) for any shape size,
-    # and expressing the density relative to its value at the mean keeps the
-    # huge exponents from washing out the smoothness quad relies on.
-    mu = a / (a + b)
-    muc = b / (a + b)
-    sd = math.sqrt(beta_variance(a, b))
-    ln_norm = (
-        math.log(sd)
-        + a * math.log(mu)
-        + b * math.log(muc)
-        - log_beta(a, b)
-        - math.log(mu * muc)
-    )
-
-    def integrand(z: float) -> float:
-        d = sd * z
-        return z * z * math.exp(
-            ln_norm + (a - 1.0) * math.log1p(d / mu) + (b - 1.0) * math.log1p(-d / muc)
-        )
-
-    z_lo = max(-50.0, -mu / sd * (1.0 - 1e-12))
-    val, _ = quad(integrand, z_lo, 0.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return val * sd * sd
-
-
 def semivariances(a: float, b: float) -> tuple[float, float]:
     """Lower and upper one-sided second central moments about the mean.
 
     The truncated moments below the mean reduce to regularized incomplete
     betas at shifted shapes; combining them analytically leaves a single
-    incomplete-beta call and no cancellation.  Extreme shapes fall back to
-    adaptive quadrature of the density.
+    incomplete-beta call and no cancellation, at every shape size.
     """
     _check_shapes(a, b)
     var = beta_variance(a, b)
-    if a > QUAD_FALLBACK or b > QUAD_FALLBACK:
-        lower = _lower_semivariance_quad(a, b)
-    else:
-        mu = a / (a + b)
-        muc = b / (a + b)
-        dens = math.exp(a * math.log(mu) + b * math.log(muc) - log_beta(a, b))
-        lower = var * reg_inc_beta(mu, a, b) + dens * mu * (2.0 * mu - 1.0) / (
-            a * (a + b + 1.0)
-        )
+    mu = a / (a + b)
+    muc = b / (a + b)
+    dens = math.exp(a * math.log(mu) + b * math.log(muc) - log_beta(a, b))
+    lower = var * float(betainc(a, b, mu)) + dens * mu * (2.0 * mu - 1.0) / (
+        a * (a + b + 1.0)
+    )
     return lower, var - lower
 
 

@@ -1,0 +1,36 @@
+"""The core modules load without scipy, and the CLI without scipy.integrate.
+
+Importing scipy costs tens of megabytes and a third of a second, so it is kept
+to ``posterior``, the one module that needs an incomplete beta.  Each check
+runs in a fresh interpreter, since this test process has scipy loaded already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import dichotomy
+
+SRC = str(Path(dichotomy.__file__).resolve().parents[1])
+
+
+def _loaded_after(imports: str) -> set[str]:
+    code = f"import sys\n{imports}\nprint('\\n'.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return set(out.stdout.split())
+
+
+def test_core_modules_load_no_scipy():
+    loaded = _loaded_after(
+        "import dichotomy, dichotomy.apps, dichotomy.dvalue, dichotomy.taxpolicy"
+    )
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_cli_loads_no_scipy_integrate():
+    loaded = _loaded_after("import dichotomy.cli")
+    assert "scipy.integrate" not in loaded

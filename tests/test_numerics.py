@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dichotomy import numerics
-from dichotomy.errors import ConvergenceError, DomainError
-from dichotomy.numerics import log_beta, log_binom, log_gamma, reg_inc_beta
-
-from _oracles import quad_reg_inc_beta
+from dichotomy.errors import DomainError
+from dichotomy.numerics import log_beta, log_binom, log_gamma
 
 mpmath.mp.dps = 40
 
@@ -88,78 +85,3 @@ class TestLogBinom:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_binom(4, 5)
-
-
-class TestRegIncBeta:
-    def test_boundaries(self):
-        assert reg_inc_beta(0.0, 3.0, 4.0) == 0.0
-        assert reg_inc_beta(1.0, 3.0, 4.0) == 1.0
-
-    def test_uniform_cdf(self):
-        assert reg_inc_beta(0.5, 1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
-
-    def test_against_quadrature(self):
-        assert reg_inc_beta(0.3, 5.0, 7.0) == pytest.approx(
-            quad_reg_inc_beta(0.3, 5.0, 7.0), rel=1e-12
-        )
-
-    def test_monotone_in_x(self):
-        xs = np.linspace(0.0, 1.0, 101)
-        vals = [reg_inc_beta(float(x), 2.3, 5.1) for x in xs]
-        assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
-
-    @given(
-        st.floats(min_value=1e-4, max_value=1.0 - 1e-4),
-        st.floats(min_value=0.05, max_value=3000.0),
-        st.floats(min_value=0.05, max_value=3000.0),
-    )
-    def test_complement_identity(self, x, a, b):
-        assert reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a) == pytest.approx(
-            1.0, abs=1e-12
-        )
-
-    @given(
-        st.floats(min_value=-4.0, max_value=4.0),
-        st.floats(min_value=3.6, max_value=7.0),
-        st.floats(min_value=3.6, max_value=7.0),
-    )
-    def test_complement_identity_large_shapes(self, z, loga, logb):
-        # Beyond the continued-fraction regime the evaluation is reduced to
-        # one canonical tail, keeping complements consistent to rounding.
-        a, b = 10.0**loga, 10.0**logb
-        mu = a / (a + b)
-        sd = math.sqrt(a * b / ((a + b) ** 2 * (a + b + 1.0)))
-        x = min(1.0 - 1e-12, max(1e-12, mu + z * sd))
-        assert reg_inc_beta(x, a, b) + reg_inc_beta(1.0 - x, b, a) == pytest.approx(
-            1.0, abs=5e-12
-        )
-
-    def test_large_shapes_against_scipy(self):
-        from scipy.special import betainc
-
-        for (x, a, b) in [
-            (0.9, 9e6, 1e6),
-            (0.9001, 9e6, 1e6),
-            (0.2499, 2.5e6, 7.5e6),
-            (0.5, 3001.0, 3001.0),
-        ]:
-            assert reg_inc_beta(x, a, b) == pytest.approx(
-                float(betainc(a, b, x)), abs=5e-10
-            )
-
-    def test_deep_tails_at_large_shapes(self):
-        assert reg_inc_beta(0.9066, 9e6, 1e6) == 1.0
-        assert reg_inc_beta(0.89, 9e6, 1e6) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            reg_inc_beta(-0.1, 2.0, 3.0)
-        with pytest.raises(DomainError):
-            reg_inc_beta(1.1, 2.0, 3.0)
-        with pytest.raises(DomainError):
-            reg_inc_beta(0.5, 0.0, 3.0)
-
-    def test_convergence_failure_is_loud(self, monkeypatch):
-        monkeypatch.setattr(numerics, "CF_MAX_ITER", 2)
-        with pytest.raises(ConvergenceError):
-            reg_inc_beta(0.47, 200.0, 230.0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,8 +21,14 @@ from dichotomy.posterior import (
     verify_posterior_mean_expansion,
     verify_semivariance_sandwich,
 )
+from dichotomy.taxpolicy import solve_theta_rho
 
-from _oracles import quad_lower_semivariance, quad_mad, quad_raw_moment
+from _oracles import (
+    mp_lower_semivariance,
+    quad_lower_semivariance,
+    quad_mad,
+    quad_raw_moment,
+)
 
 shapes = st.floats(min_value=0.2, max_value=500.0)
 
@@ -67,6 +74,13 @@ class TestBasicStatistics:
                 float(stats.beta.ppf(0.5, a, b)), abs=1e-12
             )
 
+    @pytest.mark.parametrize("b", [1.0, 7.0, 1e3, 1e6, 1e9])
+    def test_median_exact_at_unit_first_shape(self, b):
+        # Beta(1, b) has CDF 1 - (1 - x)^b, so its median is 1 - 2^(-1/b).
+        assert beta_median(1.0, b) == pytest.approx(
+            -math.expm1(-math.log(2.0) / b), rel=1e-13, abs=0.0
+        )
+
 
 class TestMad:
     def test_uniform_case_matches_quadrature(self):
@@ -105,11 +119,18 @@ class TestSemivariances:
         assert lo + up == pytest.approx(beta_variance(a, b), rel=1e-10)
         assert lo >= 0.0 and up >= 0.0
 
-    def test_extreme_shapes_use_quadrature_fallback(self):
-        lo, up = semivariances(2e7, 3e7)
-        var = beta_variance(2e7, 3e7)
-        assert 0.3 * var < lo < 0.7 * var
-        assert lo + up == pytest.approx(var, rel=1e-10)
+    def test_large_solved_shapes_against_mpmath(self):
+        # The shapes verify --theorem 4 reaches at the top of its ladder.
+        for n in [1e7, 1e8]:
+            sol = solve_theta_rho(n, 0.9, 0.1, 0.5)
+            a, b = sol.theta + n * 0.9, sol.rho + n * (1.0 - 0.9)
+            lo, up = semivariances(a, b)
+            ref_lo = mp_lower_semivariance(a, b)
+            with mpmath.workdps(30):
+                ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+                ref_up = ma * mb / ((ma + mb) ** 2 * (ma + mb + 1)) - ref_lo
+            assert lo == pytest.approx(float(ref_lo), rel=1e-10, abs=0.0), n
+            assert up == pytest.approx(float(ref_up), rel=1e-10, abs=0.0), n
 
     def test_incomplete_beta_route_at_large_solved_shapes(self):
         lo, _ = semivariances(9e6, 1e6)
