@@ -12,21 +12,7 @@ import argparse
 import os
 import sys
 
-from dichotomy.posterior import (
-    verify_asymptotic_variance,
-    verify_degenerate_limit,
-    verify_mad_ratio,
-    verify_posterior_mean_expansion,
-    verify_semivariance_sandwich,
-)
-
-CHECKS = {
-    2: verify_degenerate_limit,
-    3: verify_asymptotic_variance,
-    4: verify_semivariance_sandwich,
-    5: verify_posterior_mean_expansion,
-    6: verify_mad_ratio,
-}
+from dichotomy.posterior import LIMIT_CHECKS
 
 
 def main() -> int:
@@ -41,7 +27,7 @@ def main() -> int:
     ns = [int(x) for x in args.n_list.split(",")]
     os.makedirs(args.outdir, exist_ok=True)
     failures = 0
-    for num, op in sorted(CHECKS.items()):
+    for num, op in sorted(LIMIT_CHECKS.items()):
         report = op(args.omega, args.delta, args.tau, ns)
         path = os.path.join(args.outdir, f"check{num}_{report.kind}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -7,13 +7,14 @@ toll that equalizes driver costs on a tolled road segment.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coalition import CoalitionModel
 from .dvalue import Valuation, exact_valuation, expected_production, mc_valuation
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .production import (
     ENUMERATION_CAP,
     Game,
@@ -148,8 +149,8 @@ def insurance_premium(
     The surcharge acts as a negative reserve ratio, so (1 + surcharge) times
     the expected cost is billed, split evenly across all n policyholders.
     """
-    if surcharge < 0.0:
-        raise DomainError(f"surcharge must be non-negative, got {surcharge}")
+    if not 0.0 <= surcharge < math.inf:
+        raise DomainError(f"surcharge must be non-negative and finite, got {surcharge}")
     expected = expected_production(model, game)
     total = (1.0 + surcharge) * expected
     return InsuranceQuote(
@@ -177,8 +178,8 @@ class PowerCurve(CostCurve):
     kind = "power"
 
     def __init__(self, exponent: float, coefficient: float = 1.0):
-        if exponent < 0 or coefficient < 0:
-            raise DomainError("cost curves must be nondecreasing")
+        if not (0.0 <= exponent < math.inf and 0.0 <= coefficient < math.inf):
+            raise DomainError("cost curves must be nondecreasing and finite")
         self.exponent = float(exponent)
         self.coefficient = float(coefficient)
 
@@ -195,8 +196,8 @@ class LinearCurve(CostCurve):
     kind = "linear"
 
     def __init__(self, slope: float):
-        if slope < 0:
-            raise DomainError("cost curves must be nondecreasing")
+        if not 0.0 <= slope < math.inf:
+            raise DomainError("cost curves must be nondecreasing and finite")
         self.slope = float(slope)
 
     def __call__(self, volume: float) -> float:
@@ -218,6 +219,8 @@ class TableCurve(CostCurve):
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
             raise DomainError("table curve needs matching x and y vectors")
+        if not (np.isfinite(x).all() and np.isfinite(y).all()):
+            raise DomainError("table curve points must be finite")
         if np.any(np.diff(x) <= 0):
             raise DomainError("table x values must be strictly increasing")
         if np.any(np.diff(y) < 0):
@@ -227,7 +230,8 @@ class TableCurve(CostCurve):
 
     def __call__(self, volume: float) -> float:
         if volume < self.x[0] or volume > self.x[-1]:
-            raise DomainError(
+            # The table, not the caller, lacks the data for this volume.
+            raise DataError(
                 f"volume {volume} outside tabulated range [{self.x[0]}, {self.x[-1]}]"
             )
         return float(np.interp(volume, self.x, self.y))
@@ -271,8 +275,13 @@ def highway_toll(scenario: TollScenario) -> TollResult:
     """
     n, omega, g = scenario.n, scenario.omega, scenario.g
     reduced = n * (1.0 - omega)
-    toll = g(reduced)
-    v = n * g(n) - reduced * g(reduced) - n * omega * toll
+    try:
+        toll = g(reduced)
+        v = n * g(n) - reduced * g(reduced) - n * omega * toll
+    except OverflowError:  # float ** overflows loudly, * and - quietly
+        v = math.inf
+    if not math.isfinite(v):
+        raise DomainError(f"toll arithmetic overflows a float at n={n}")
     per_driver = v / n
     residual = abs(per_driver - (g(n) - g(reduced)))
     return TollResult(
@@ -302,14 +311,19 @@ def cost_curve_from_json_dict(spec: dict) -> CostCurve:
 
 
 def load_toll_scenario(path: str) -> TollScenario:
-    """Scenario file: {"n": int, "omega": real, "g": {"type": ..., ...}}."""
+    """Scenario file: {"n": int, "omega": real, "g": {"type": ..., ...}}.
+
+    Malformed JSON or fields raise DataError.
+    """
     with open(path, encoding="utf-8") as fh:
-        spec = json.load(fh)
-    try:
-        return TollScenario(
-            n=int(spec["n"]),
-            omega=float(spec["omega"]),
-            g=cost_curve_from_json_dict(spec["g"]),
-        )
-    except KeyError as exc:
-        raise DomainError(f"toll scenario needs n, omega and g: {exc}") from exc
+        try:
+            spec = json.load(fh)
+            return TollScenario(
+                n=int(spec["n"]),
+                omega=float(spec["omega"]),
+                g=cost_curve_from_json_dict(spec["g"]),
+            )
+        except KeyError as exc:
+            raise DataError(f"toll scenario needs n, omega and g: {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"malformed toll scenario {path}: {exc}") from exc

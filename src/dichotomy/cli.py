@@ -7,13 +7,26 @@ limit checks (see README for the catalogue), and ``apps`` wraps the voting,
 insurance and toll applications.  All primary output is CSV or JSON with
 floats at 17 significant digits, so repeated runs are byte-identical.
 
-Exit codes: 0 success, 2 usage, 3 infeasible, 4 data, 5 capacity,
-6 verification failure.
+Handlers raise; ``main`` is the one place that turns an exception into a
+one-line ``error: <message>`` on stderr and an exit code, through
+``_EXIT_CODES`` (first match wins):
+
+* 2 usage: a flag outside its domain, non-finite flag values included
+  (``DomainError``)
+* 3 infeasible: a singular balanced-budget system (``SingularSystemError``)
+* 4 data: a malformed file, game spec, curve spec or table row
+  (``DataError``), or an unreadable input or unwritable ``--out``
+  (``OSError``)
+* 5 capacity: a request beyond the enumeration cap (``CapacityError``)
+
+Three exits follow partial output and stay in their handlers: ``tax-rate``
+exits 3 after its row when no positive hyperparameters exist, ``series``
+exits 4 after the good rows when it rejected some, and ``verify`` exits 6
+when its gate fails.
 """
 
 import argparse
 import csv
-import json
 import os
 import sys
 
@@ -35,14 +48,8 @@ from .dvalue import (
     exact_valuation,
     mc_valuation,
 )
-from .errors import CapacityError, DomainError, SingularSystemError
-from .posterior import (
-    verify_asymptotic_variance,
-    verify_degenerate_limit,
-    verify_mad_ratio,
-    verify_posterior_mean_expansion,
-    verify_semivariance_sandwich,
-)
+from .errors import CapacityError, DataError, DomainError, SingularSystemError
+from .posterior import LIMIT_CHECKS
 from .production import (
     AdditiveGame,
     Game,
@@ -64,6 +71,15 @@ EXIT_INFEASIBLE = 3
 EXIT_DATA = 4
 EXIT_CAPACITY = 5
 EXIT_VERIFY = 6
+
+# First match wins, so DataError comes before the DomainError it refines.
+_EXIT_CODES = (
+    (DataError, EXIT_DATA),
+    (OSError, EXIT_DATA),
+    (SingularSystemError, EXIT_INFEASIBLE),
+    (CapacityError, EXIT_CAPACITY),
+    (DomainError, EXIT_USAGE),
+)
 
 _SWEEP_HEADER = (
     "omega,tau,delta,n,theta,rho,d,valid,residual_benefits,residual_welfare,singular"
@@ -108,22 +124,14 @@ def parse_game_spec(spec: str) -> Game:
             return WeightedVotingGame(weights, float(q_str))
         if head == "additive":
             return AdditiveGame([float(x) for x in rest.split(",")])
-    except (ValueError, DomainError) as exc:
-        raise DomainError(f"bad game spec {spec!r}: {exc}") from exc
+    except ValueError as exc:
+        raise DataError(f"bad game spec {spec!r}: {exc}") from exc
     if os.path.exists(spec):
         return load_dense_game(spec)
-    raise DomainError(
-        f"unknown game family or missing file: {spec!r}"
-    )
+    raise DataError(f"unknown game family or missing file: {spec!r}")
 
 
 def _cmd_tax_rate(args) -> int:
-    if not (0.0 < args.omega < 1.0):
-        print("error: --omega must lie in (0,1)", file=sys.stderr)
-        return EXIT_USAGE
-    if not (-1.0 < args.delta < 1.0):
-        print("error: --delta must lie in (-1,1)", file=sys.stderr)
-        return EXIT_USAGE
     tau = asymptotic_tax_rule(args.omega, args.delta)
     if args.n is None:
         text = "omega,delta,tau_asymptotic\n" + csv_line([args.omega, args.delta, tau]) + "\n"
@@ -131,11 +139,7 @@ def _cmd_tax_rate(args) -> int:
         return EXIT_OK
     tau_c = corrected_tax_rule(args.n, args.omega, args.delta, scale=1.0)
     tau_2c = corrected_tax_rule(args.n, args.omega, args.delta, scale=2.0)
-    try:
-        sol = solve_theta_rho(args.n, args.omega, args.delta, tau_2c)
-    except SingularSystemError:
-        print("error: balanced-budget system is singular at these inputs", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    sol = solve_theta_rho(args.n, args.omega, args.delta, tau_2c)
     header = (
         "omega,delta,n,tau_asymptotic,tau_corrected,tau_corrected_2x,theta,rho,feasible"
     )
@@ -154,16 +158,16 @@ def _cmd_tax_rate(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    try:
-        with open(args.input, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-    except OSError as exc:
-        print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    with open(args.input, encoding="utf-8", newline="") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{args.input}: {exc}") from exc
     if not rows or rows[0][:2] != ["period", "omega"]:
-        print("error: line 1: header must be 'period,omega[,delta]'", file=sys.stderr)
-        return EXIT_DATA
+        raise DataError("line 1: header must be 'period,omega[,delta]'")
+    # A bad --n or --delta is a usage error whether or not a row uses it;
+    # 0.5 stands in for a rate.
+    corrected_tax_rule(args.n, 0.5, args.delta)
     has_delta = len(rows[0]) >= 3 and rows[0][2] == "delta"
     bad: list[str] = []
     seen_periods: set[str] = set()
@@ -194,6 +198,9 @@ def _cmd_series(args) -> int:
             except ValueError:
                 bad.append(f"line {lineno}: delta {row[2]!r} is not a number")
                 continue
+            if not (-1.0 < delta < 1.0):
+                bad.append(f"line {lineno}: delta {delta} outside (-1,1)")
+                continue
         tau = asymptotic_tax_rule(omega, delta)
         tau_c = corrected_tax_rule(args.n, omega, delta, scale=1.0)
         out_lines.append(csv_line([period, omega, delta, tau, tau_c]))
@@ -207,56 +214,41 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_dvalue(args) -> int:
+    game = parse_game_spec(args.game)
+    model = CoalitionModel(game.n, args.theta, args.rho)
+    if args.method == "exact":
+        val = exact_valuation(model, game)
+    else:
+        val = mc_valuation(
+            model, game, args.samples, args.seed,
+            streams=args.streams, max_workers=args.threads,
+        )
+    report = val.to_json_dict()
     try:
-        game = parse_game_spec(args.game)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    try:
-        model = CoalitionModel(game.n, args.theta, args.rho)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        if args.method == "exact":
-            val = exact_valuation(model, game)
-        else:
-            val = mc_valuation(
-                model, game, args.samples, args.seed,
-                streams=args.streams, max_workers=args.threads,
-            )
-        report = val.to_json_dict()
-        try:
-            report["aggregate_gamma_closed_form"] = aggregate_gain_closed_form(model, game)
-            report["aggregate_lambda_closed_form"] = aggregate_loss_closed_form(model, game)
-        except CapacityError:
-            report["aggregate_gamma_closed_form"] = None
-            report["aggregate_lambda_closed_form"] = None
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        report["aggregate_gamma_closed_form"] = aggregate_gain_closed_form(model, game)
+        report["aggregate_lambda_closed_form"] = aggregate_loss_closed_form(model, game)
+    except CapacityError:
+        report["aggregate_gamma_closed_form"] = None
+        report["aggregate_lambda_closed_form"] = None
     _write_out(json_dumps(report) + "\n", args.out)
     return EXIT_OK
 
 
 def _parse_range(text: str) -> tuple[float, float]:
     lo, _, hi = text.partition(":")
-    return float(lo), float(hi)
+    try:
+        return float(lo), float(hi)
+    except ValueError:
+        raise DomainError("ranges must look like LO:HI") from None
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        w_lo, w_hi = _parse_range(args.omega_range)
-        t_lo, t_hi = _parse_range(args.tau_range)
-    except ValueError:
-        print("error: ranges must look like LO:HI", file=sys.stderr)
-        return EXIT_USAGE
+    w_lo, w_hi = _parse_range(args.omega_range)
+    t_lo, t_hi = _parse_range(args.tau_range)
     if args.resolution < 1 or w_lo > w_hi or t_lo > t_hi:
-        print("error: degenerate sweep ranges", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("degenerate sweep ranges")
     if not (0.0 < w_lo and w_hi < 1.0):
-        print("error: omega range must stay inside (0,1)", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("omega range must stay inside (0,1)")
 
     def grid(lo: float, hi: float) -> list[float]:
         if args.resolution == 1 or lo == hi:
@@ -287,29 +279,16 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-_VERIFY_OPS = {
-    2: verify_degenerate_limit,
-    3: verify_asymptotic_variance,
-    4: verify_semivariance_sandwich,
-    5: verify_posterior_mean_expansion,
-    6: verify_mad_ratio,
-}
-
-
 def _cmd_verify(args) -> int:
     try:
         n_list = [int(x) for x in args.n_list.split(",") if x.strip()]
         if not n_list:
             raise ValueError("empty n list")
-    except ValueError as exc:
-        print(f"error: bad --n-list: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    op = _VERIFY_OPS[args.theorem]
-    try:
-        report = op(args.omega, args.delta, args.tau, n_list)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        for n in n_list:
+            float(n)  # the solver works in floats; a larger int overflows
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"bad --n-list: {exc}") from exc
+    report = LIMIT_CHECKS[args.theorem](args.omega, args.delta, args.tau, n_list)
     _write_out(report.to_csv(), args.out)
     for key, value in report.details.items():
         print(f"# {key} = {value}", file=sys.stderr)
@@ -338,41 +317,19 @@ def _power_json(model: CoalitionModel, report) -> dict:
 
 def _cmd_apps(args) -> int:
     if args.app == "voting":
-        try:
-            game = parse_game_spec(args.game)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        try:
-            model = CoalitionModel(game.n, args.theta, args.rho)
-            report = voting_power(
-                model, game, method=args.method, samples=args.samples,
-                seed=args.seed, streams=args.streams, max_workers=args.threads,
-            )
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except CapacityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAPACITY
+        game = parse_game_spec(args.game)
+        model = CoalitionModel(game.n, args.theta, args.rho)
+        report = voting_power(
+            model, game, method=args.method, samples=args.samples,
+            seed=args.seed, streams=args.streams, max_workers=args.threads,
+        )
         _write_out(json_dumps(_power_json(model, report)) + "\n", args.out)
         return EXIT_OK
 
     if args.app == "insurance":
-        try:
-            game = parse_game_spec(args.game)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DATA
-        try:
-            model = CoalitionModel(game.n, args.theta, args.rho)
-            quote = insurance_premium(model, game, args.surcharge)
-        except DomainError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except CapacityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAPACITY
+        game = parse_game_spec(args.game)
+        model = CoalitionModel(game.n, args.theta, args.rho)
+        quote = insurance_premium(model, game, args.surcharge)
         out = {
             "n": quote.n,
             "surcharge": quote.surcharge,
@@ -384,21 +341,13 @@ def _cmd_apps(args) -> int:
         return EXIT_OK
 
     # toll
-    try:
-        if args.scenario:
-            scenario = load_toll_scenario(args.scenario)
-        else:
-            if args.g is None or args.n is None or args.omega is None:
-                print(
-                    "error: toll needs --scenario or all of --g, --n, --omega",
-                    file=sys.stderr,
-                )
-                return EXIT_USAGE
-            scenario = TollScenario(n=args.n, omega=args.omega, g=_parse_curve(args.g))
-        result = highway_toll(scenario)
-    except (DomainError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    if args.scenario:
+        scenario = load_toll_scenario(args.scenario)
+    elif args.g is None or args.n is None or args.omega is None:
+        raise DomainError("toll needs --scenario or all of --g, --n, --omega")
+    else:
+        scenario = TollScenario(n=args.n, omega=args.omega, g=_parse_curve(args.g))
+    result = highway_toll(scenario)
     out = {
         "n": scenario.n,
         "omega": scenario.omega,
@@ -422,9 +371,9 @@ def _parse_curve(spec: str):
             return PowerCurve(exponent, coefficient)
         if head == "linear":
             return LinearCurve(float(rest))
-    except (ValueError, IndexError) as exc:
-        raise DomainError(f"bad cost curve {spec!r}: {exc}") from exc
-    raise DomainError(f"unknown cost curve {spec!r} (use power:EXP[:COEF] or linear:SLOPE)")
+    except ValueError as exc:
+        raise DataError(f"bad cost curve {spec!r}: {exc}") from exc
+    raise DataError(f"unknown cost curve {spec!r} (use power:EXP[:COEF] or linear:SLOPE)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -470,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run a numbered limit check (2-6)")
-    p.add_argument("--theorem", type=int, choices=sorted(_VERIFY_OPS), required=True)
+    p.add_argument("--theorem", type=int, choices=sorted(LIMIT_CHECKS), required=True)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
@@ -513,9 +462,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

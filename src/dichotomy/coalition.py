@@ -40,9 +40,9 @@ class CoalitionModel:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"need at least one player, got n={self.n}")
-        if not (self.theta > 0.0 and self.rho > 0.0):
+        if not (0.0 < self.theta < math.inf and 0.0 < self.rho < math.inf):
             raise DomainError(
-                f"shape parameters must be positive, got ({self.theta}, {self.rho})"
+                f"shape parameters must be positive and finite, got ({self.theta}, {self.rho})"
             )
 
     @property

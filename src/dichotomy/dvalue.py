@@ -313,6 +313,8 @@ def mc_valuation(
         raise DomainError("need at least one sample")
     if streams < 1:
         raise DomainError("need at least one stream")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
     streams = min(streams, samples)
     rngs = spawn_streams(seed, streams)
     base, extra = divmod(samples, streams)

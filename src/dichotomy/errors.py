@@ -9,6 +9,10 @@ class DomainError(DichotomyError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
+class DataError(DomainError):
+    """Input data is malformed: a file, a game or curve spec, or a table row."""
+
+
 class CapacityError(DichotomyError):
     """A request exceeds an enumeration or table-size cap."""
 

@@ -38,6 +38,7 @@ __all__ = [
     "verify_posterior_mean_expansion",
     "verify_semivariance_sandwich",
     "verify_mad_ratio",
+    "LIMIT_CHECKS",
 ]
 
 def _check_shapes(a: float, b: float) -> None:
@@ -217,40 +218,52 @@ def _require_open_interval(omega, delta, tau) -> float:
     return rule
 
 
-def verify_degenerate_limit(
-    omega: float, delta: float, tau: float, n_sequence, moment_count: int = 4
-) -> LimitReport:
-    """Mean drifts to the observed rate and the variance dies out."""
+def _limit_check(kind, omega, delta, tau, n_sequence, row, gate) -> LimitReport:
+    """Solve the balanced-budget system along the ladder and judge the rows.
+
+    ``row(n, a, b, mean, var)`` gives each row's target and abs_error, plus
+    whichever of lower_semi, upper_semi and mad the check reports (the rest
+    stay nan); ``gate(rows)`` returns (passed, details).
+    """
     _require_open_interval(omega, delta, tau)
     rows = []
     for n in n_sequence:
         th, rh, a, b = _solved_shapes(omega, delta, tau, n)
         mean = beta_mean(a, b)
         var = beta_variance(a, b)
+        extra = {"lower_semi": math.nan, "upper_semi": math.nan, "mad": math.nan}
+        extra.update(row(n, a, b, mean, var))
         rows.append(
-            LimitRow(
-                n=n, theta=th, rho=rh, mean=mean, variance=var, n_var=n * var,
-                lower_semi=math.nan, upper_semi=math.nan, mad=math.nan,
-                target=omega, abs_error=abs(mean - omega),
-            )
+            LimitRow(n=n, theta=th, rho=rh, mean=mean, variance=var, n_var=n * var, **extra)
         )
-    errs = [r.abs_error for r in rows]
-    vars_ = [r.variance for r in rows]
-    a_last, b_last = rows[-1].theta + rows[-1].n * omega, rows[-1].rho + rows[-1].n * (1 - omega)
-    moment_errs = {
-        k: abs(beta_raw_moment(a_last, b_last, k) - omega**k)
-        for k in range(1, moment_count + 1)
-    }
-    passed = (
-        all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
-        and all(v2 < v1 for v1, v2 in zip(vars_, vars_[1:]))
-        and all(e < 1e-3 for e in moment_errs.values())
-    )
-    return LimitReport(
-        kind="degenerate-limit",
-        rows=tuple(rows),
-        passed=passed,
-        details={"moment_errors": moment_errs},
+    passed, details = gate(rows)
+    return LimitReport(kind=kind, rows=tuple(rows), passed=passed, details=details)
+
+
+def verify_degenerate_limit(
+    omega: float, delta: float, tau: float, n_sequence, moment_count: int = 4
+) -> LimitReport:
+    """Mean drifts to the observed rate and the variance dies out."""
+
+    def gate(rows):
+        errs = [r.abs_error for r in rows]
+        vars_ = [r.variance for r in rows]
+        a_last, b_last = rows[-1].theta + rows[-1].n * omega, rows[-1].rho + rows[-1].n * (1 - omega)
+        moment_errs = {
+            k: abs(beta_raw_moment(a_last, b_last, k) - omega**k)
+            for k in range(1, moment_count + 1)
+        }
+        passed = (
+            all(e2 < e1 for e1, e2 in zip(errs, errs[1:]))
+            and all(v2 < v1 for v1, v2 in zip(vars_, vars_[1:]))
+            and all(e < 1e-3 for e in moment_errs.values())
+        )
+        return passed, {"moment_errors": moment_errs}
+
+    return _limit_check(
+        "degenerate-limit", omega, delta, tau, n_sequence,
+        lambda n, a, b, mean, var: {"target": omega, "abs_error": abs(mean - omega)},
+        gate,
     )
 
 
@@ -267,28 +280,17 @@ def verify_asymptotic_variance(
     omega: float, delta: float, tau: float, n_sequence
 ) -> LimitReport:
     """n * Var converges to omega(1-omega)(omega+tau-delta*omega-1) at rate 1/n."""
-    _require_open_interval(omega, delta, tau)
     d = omega + tau - delta * omega - 1.0
     limit = omega * (1.0 - omega) * d
-    rows = []
-    for n in n_sequence:
-        th, rh, a, b = _solved_shapes(omega, delta, tau, n)
-        mean = beta_mean(a, b)
-        var = beta_variance(a, b)
-        rows.append(
-            LimitRow(
-                n=n, theta=th, rho=rh, mean=mean, variance=var, n_var=n * var,
-                lower_semi=math.nan, upper_semi=math.nan, mad=math.nan,
-                target=limit, abs_error=abs(n * var - limit),
-            )
-        )
-    slope = _fit_error_slope(rows)
-    passed = -1.3 <= slope <= -0.7
-    return LimitReport(
-        kind="scaled-variance",
-        rows=tuple(rows),
-        passed=passed,
-        details={"limit": limit, "slope": slope},
+
+    def gate(rows):
+        slope = _fit_error_slope(rows)
+        return -1.3 <= slope <= -0.7, {"limit": limit, "slope": slope}
+
+    return _limit_check(
+        "scaled-variance", omega, delta, tau, n_sequence,
+        lambda n, a, b, mean, var: {"target": limit, "abs_error": abs(n * var - limit)},
+        gate,
     )
 
 
@@ -301,31 +303,24 @@ def verify_posterior_mean_expansion(
         raise DomainError(
             f"the monotone response holds for omega in (0.5, 1); got {omega}"
         )
-    rule = _require_open_interval(omega, delta, tau)
     coef = (1.0 - tau) * (2.0 * omega - 1.0) + omega * omega * (delta - 1.0)
-    rows = []
-    for n in n_sequence:
-        th, rh, a, b = _solved_shapes(omega, delta, tau, n)
-        mean = beta_mean(a, b)
-        var = beta_variance(a, b)
-        rows.append(
-            LimitRow(
-                n=n, theta=th, rho=rh, mean=mean, variance=var,
-                n_var=n * var, lower_semi=math.nan, upper_semi=math.nan,
-                mad=math.nan, target=coef, abs_error=abs(n * (mean - omega) - coef),
-            )
-        )
-    n_big = rows[-1].n
-    h = min(1e-4, 0.1 * (1.0 - tau), 0.1 * (tau - rule))
-    _, _, a_hi, b_hi = _solved_shapes(omega, delta, tau + h, n_big)
-    _, _, a_lo, b_lo = _solved_shapes(omega, delta, tau - h, n_big)
-    derivative = (beta_mean(a_hi, b_hi) - beta_mean(a_lo, b_lo)) / (2.0 * h)
-    passed = rows[-1].abs_error <= rel_tol * abs(coef) and derivative < 0.0
-    return LimitReport(
-        kind="mean-response",
-        rows=tuple(rows),
-        passed=passed,
-        details={"coefficient": coef, "mean_derivative_in_tau": derivative},
+
+    def gate(rows):
+        rule = asymptotic_tax_rule(omega, delta)
+        n_big = rows[-1].n
+        h = min(1e-4, 0.1 * (1.0 - tau), 0.1 * (tau - rule))
+        _, _, a_hi, b_hi = _solved_shapes(omega, delta, tau + h, n_big)
+        _, _, a_lo, b_lo = _solved_shapes(omega, delta, tau - h, n_big)
+        derivative = (beta_mean(a_hi, b_hi) - beta_mean(a_lo, b_lo)) / (2.0 * h)
+        passed = rows[-1].abs_error <= rel_tol * abs(coef) and derivative < 0.0
+        return passed, {"coefficient": coef, "mean_derivative_in_tau": derivative}
+
+    return _limit_check(
+        "mean-response", omega, delta, tau, n_sequence,
+        lambda n, a, b, mean, var: {
+            "target": coef, "abs_error": abs(n * (mean - omega) - coef)
+        },
+        gate,
     )
 
 
@@ -334,60 +329,51 @@ def verify_semivariance_sandwich(
 ) -> LimitReport:
     """n * (one-sided variance) lands between (1/2 - 1/sqrt(2*pi)) and 1
     times the scaled-variance limit, for both sides."""
-    _require_open_interval(omega, delta, tau)
     d = omega + tau - delta * omega - 1.0
     upper_bound = omega * (1.0 - omega) * d
     lower_bound = (0.5 - 1.0 / math.sqrt(2.0 * math.pi)) * upper_bound
-    rows = []
-    for n in n_sequence:
-        th, rh, a, b = _solved_shapes(omega, delta, tau, n)
-        mean = beta_mean(a, b)
-        var = beta_variance(a, b)
+
+    def row(n, a, b, mean, var):
         lo_semi, up_semi = semivariances(a, b)
-        rows.append(
-            LimitRow(
-                n=n, theta=th, rho=rh, mean=mean, variance=var, n_var=n * var,
-                lower_semi=lo_semi, upper_semi=up_semi, mad=math.nan,
-                target=upper_bound, abs_error=abs(n * lo_semi - upper_bound),
-            )
+        return {
+            "lower_semi": lo_semi, "upper_semi": up_semi,
+            "target": upper_bound, "abs_error": abs(n * lo_semi - upper_bound),
+        }
+
+    def gate(rows):
+        last = rows[-1]
+        n_big = last.n
+        inside = (
+            lower_bound * (1.0 - band) <= n_big * last.lower_semi <= upper_bound * (1.0 + band)
+            and lower_bound * (1.0 - band) <= n_big * last.upper_semi <= upper_bound * (1.0 + band)
         )
-    last = rows[-1]
-    n_big = last.n
-    inside = (
-        lower_bound * (1.0 - band) <= n_big * last.lower_semi <= upper_bound * (1.0 + band)
-        and lower_bound * (1.0 - band) <= n_big * last.upper_semi <= upper_bound * (1.0 + band)
-    )
-    return LimitReport(
-        kind="semivariance-sandwich",
-        rows=tuple(rows),
-        passed=inside,
-        details={"lower_bound": lower_bound, "upper_bound": upper_bound},
-    )
+        return inside, {"lower_bound": lower_bound, "upper_bound": upper_bound}
+
+    return _limit_check("semivariance-sandwich", omega, delta, tau, n_sequence, row, gate)
 
 
 def verify_mad_ratio(
     omega: float, delta: float, tau: float, n_sequence, tol: float = 1e-2
 ) -> LimitReport:
     """Squared mean absolute deviation over variance approaches 2/pi."""
-    _require_open_interval(omega, delta, tau)
     target = 2.0 / math.pi
-    rows = []
-    for n in n_sequence:
-        th, rh, a, b = _solved_shapes(omega, delta, tau, n)
-        mean = beta_mean(a, b)
-        var = beta_variance(a, b)
+
+    def row(n, a, b, mean, var):
         mad = mad_about_mean(a, b)
-        rows.append(
-            LimitRow(
-                n=n, theta=th, rho=rh, mean=mean, variance=var, n_var=n * var,
-                lower_semi=math.nan, upper_semi=math.nan, mad=mad,
-                target=target, abs_error=abs(mad * mad / var - target),
-            )
-        )
-    passed = rows[-1].abs_error <= tol
-    return LimitReport(
-        kind="mad-ratio",
-        rows=tuple(rows),
-        passed=passed,
-        details={"target": target, "final_ratio": rows[-1].mad ** 2 / rows[-1].variance},
-    )
+        return {"mad": mad, "target": target, "abs_error": abs(mad * mad / var - target)}
+
+    def gate(rows):
+        details = {"target": target, "final_ratio": rows[-1].mad ** 2 / rows[-1].variance}
+        return rows[-1].abs_error <= tol, details
+
+    return _limit_check("mad-ratio", omega, delta, tau, n_sequence, row, gate)
+
+
+# The numbered limit checks, as run by ``verify --theorem N``.
+LIMIT_CHECKS = {
+    2: verify_degenerate_limit,
+    3: verify_asymptotic_variance,
+    4: verify_semivariance_sandwich,
+    5: verify_posterior_mean_expansion,
+    6: verify_mad_ratio,
+}

@@ -7,12 +7,13 @@ voting bodies and component systems stay tractable.
 """
 
 import json
+import math
 import warnings
 
 import numpy as np
 
 from .coalition import SubsetId
-from .errors import CapacityError, DomainError
+from .errors import CapacityError, DataError, DomainError
 
 __all__ = [
     "Game",
@@ -91,6 +92,8 @@ class DenseTableGame(Game):
         values = np.asarray(values, dtype=float)
         if values.shape != (1 << n,):
             raise DomainError(f"expected {1 << n} values, got {values.shape}")
+        if not np.isfinite(values).all():
+            raise DomainError("game values must be finite")
         if values[0] != 0.0:
             raise DomainError("value of the empty coalition must be 0")
         self.n = n
@@ -164,10 +167,13 @@ class WeightedVotingGame(Game):
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(weights) < 1:
             raise DomainError("weights must be a non-empty vector")
+        if not np.isfinite(weights).all():
+            raise DomainError("weights must be finite")
         if np.any(weights < 0):
             raise DomainError("negative weights would break monotonicity")
-        if not quota > 0:
-            raise DomainError("quota must be positive so the empty set loses")
+        if not 0.0 < quota < math.inf:
+            # A positive quota makes the empty coalition lose.
+            raise DomainError(f"quota must be positive and finite, got {quota}")
         self.n = len(weights)
         self.weights = weights
         self.weights.setflags(write=False)
@@ -189,6 +195,8 @@ class AdditiveGame(Game):
         player_values = np.asarray(player_values, dtype=float)
         if player_values.ndim != 1 or len(player_values) < 1:
             raise DomainError("player values must be a non-empty vector")
+        if not np.isfinite(player_values).all():
+            raise DomainError("player values must be finite")
         self.n = len(player_values)
         self.player_values = player_values
         self.player_values.setflags(write=False)
@@ -258,18 +266,23 @@ def is_symmetric_pair(game: Game, i: int, j: int) -> bool:
 
 
 def game_from_json_dict(spec: dict) -> DenseTableGame:
-    """Dense game from {"n": int, "values": [2^n reals by bitmask]}."""
+    """Dense game from {"n": int, "values": [2^n reals by bitmask]}.
+
+    Malformed data raises DataError; a table beyond the cap, CapacityError.
+    """
     try:
-        n = int(spec["n"])
-        values = spec["values"]
-    except (KeyError, TypeError) as exc:
-        raise DomainError(f"malformed game object: {exc}") from exc
-    return DenseTableGame(n, values)
+        return DenseTableGame(int(spec["n"]), spec["values"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed game object: {exc}") from exc
 
 
 def load_dense_game(path: str) -> DenseTableGame:
     with open(path, encoding="utf-8") as fh:
-        return game_from_json_dict(json.load(fh))
+        try:
+            spec = json.load(fh)
+        except ValueError as exc:
+            raise DataError(f"malformed game file {path}: {exc}") from exc
+    return game_from_json_dict(spec)
 
 
 def random_dense_game(n: int, rng: np.random.Generator) -> DenseTableGame:

@@ -82,8 +82,12 @@ class PolicyInputs:
     def __post_init__(self):
         if not (0.0 < self.omega < 1.0):
             raise DomainError(f"employment rate must lie in (0,1), got {self.omega}")
-        if self.n <= 0:
-            raise DomainError(f"labor-force size must be positive, got {self.n}")
+        if not 0.0 < self.n < math.inf:
+            raise DomainError(f"labor-force size must be positive and finite, got {self.n}")
+        if not (-math.inf < self.delta < math.inf and -math.inf < self.tau < math.inf):
+            raise DomainError(
+                f"reserve ratio and tax rate must be finite, got {self.delta}, {self.tau}"
+            )
 
 
 @dataclass(frozen=True)
@@ -210,8 +214,8 @@ def corrected_tax_rule(
     smallest multiple guaranteeing positive hyperparameters for large n.
     The exact constant lies between the two, so both endpoints are exposed.
     """
-    if n < 1:
-        raise DomainError(f"labor-force size must be at least 1, got {n}")
+    if not 1.0 <= n < math.inf:
+        raise DomainError(f"labor-force size must be finite and at least 1, got {n}")
     c = omega * (1.0 - omega) * (1.0 - delta) ** 2
     return asymptotic_tax_rule(omega, delta) + scale * c / n
 

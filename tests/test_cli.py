@@ -1,6 +1,10 @@
+import contextlib
+import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dichotomy import cli
 
@@ -335,3 +339,199 @@ class TestApps:
         raw = path.read_bytes()
         assert b"\r" not in raw
         assert raw.endswith(b"\n")
+
+
+# --- one error boundary ------------------------------------------------------
+
+# Input files, referenced from argv as "{name}".
+_FILES = {
+    "trunc.json": '{"n": 2, "values": [0, 0',
+    "nonnum.json": '{"n": 2, "values": [0, "a", 0, 1]}',
+    "nan.json": '{"n": 2, "values": [0, NaN, 0, 1]}',
+    "n30.json": '{"n": 30, "values": [0]}',
+    "pair.json": '{"n": 2, "values": [0, 0, 0, 1]}',
+    "toll_x.json": '{"n": 100, "omega": 0.4, "g": {"type": "power", "exponent": "x"}}',
+    "toll_list.json": "[1]",
+    "toll.json": '{"n": 100, "omega": 0.4, "g": {"type": "power", "exponent": 2}}',
+    "toll_range.json": '{"n": 200, "omega": 0.4, "g": {"type": "table", "x": [0, 100], "y": [0, 9]}}',
+    "rates.csv": "period,omega,delta\np1,0.9,0.2\np2,0.8,\n",
+    "row_delta.csv": "period,omega,delta\np1,0.5,5\np2,0.8,\n",
+    "bad_rows.csv": "period,omega\nx,1.0\nx,0.5\ny,z\n",
+}
+
+
+def _write_files(root):
+    for name, text in _FILES.items():
+        (root / name).write_text(text, encoding="utf-8")
+    (root / "binary.csv").write_bytes(b"period,omega\n\xff\xfe,0.5\n")
+
+
+def _materialize(argv, root):
+    return [str(root / a[1:-1]) if a.startswith("{") else a for a in argv]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+_NAN_TOKENS = {"nan", "-nan", "inf", "-inf", "NaN", "Infinity", "-Infinity"}
+_SHAPE = ["--theta", "1", "--rho", "1"]
+_ROW_DELTA_REJECTED = "  line 2: delta 5.0 outside (-1,1)"
+
+# (exit code, argv, expected start of stderr's last line)
+PROBES = [
+    (4, ["dvalue", "--game", "{trunc.json}", *_SHAPE], "error:"),
+    (4, ["dvalue", "--game", "{nonnum.json}", *_SHAPE], "error:"),
+    (4, ["dvalue", "--game", "{nan.json}", *_SHAPE], "error:"),
+    (4, ["dvalue", "--game", "additive:1,inf", *_SHAPE], "error:"),
+    (4, ["dvalue", "--game", "weighted:1,nan:1", *_SHAPE], "error:"),
+    (4, ["dvalue", "--game", "weighted:1,1:inf", *_SHAPE], "error:"),
+    (4, ["apps", "toll", "--scenario", "{toll_x.json}"], "error:"),
+    (4, ["apps", "toll", "--scenario", "{toll_list.json}"], "error:"),
+    (4, ["apps", "toll", "--g", "power:nan", "--n", "10", "--omega", "0.4"], "error:"),
+    (4, ["series", "{row_delta.csv}", "--delta", "0.1", "--n", "1e5"], _ROW_DELTA_REJECTED),
+    (4, ["tax-rate", "--omega", "0.9", "--delta", "0.1", "--out", "{nodir/x.csv}"], "error:"),
+    (5, ["dvalue", "--game", "{n30.json}", *_SHAPE], "error:"),
+    (2, ["dvalue", "--game", "majority:5", *_SHAPE, "--method", "mc", "--samples", "0"], "error:"),
+    (2, ["dvalue", "--game", "majority:5", *_SHAPE, "--method", "mc", "--streams", "0"], "error:"),
+    (2, ["dvalue", "--game", "majority:5", "--theta", "inf", "--rho", "1"], "error:"),
+    (2, ["tax-rate", "--omega", "0.9", "--delta", "0.1", "--n", "0"], "error:"),
+    (2, ["tax-rate", "--omega", "0.9", "--delta", "0.1", "--n", "nan"], "error:"),
+    (2, ["tax-rate", "--omega", "0.9", "--delta", "0.1", "--n", "inf"], "error:"),
+    (2, ["series", "{rates.csv}", "--delta", "0.1", "--n", "0"], "error:"),
+    (2, ["series", "{rates.csv}", "--delta", "5", "--n", "1e5"], "error:"),
+    (2, ["sweep", "--n", "-5", "--resolution", "3"], "error:"),
+    (2, ["sweep", "--n", "nan", "--resolution", "3"], "error:"),
+    (2, ["sweep", "--delta", "nan", "--resolution", "3"], "error:"),
+    (2, ["sweep", "--tau-range", "0:nan", "--resolution", "3"], "error:"),
+    (2, ["apps", "insurance", "--game", "additive:1,1", *_SHAPE, "--surcharge", "nan"], "error:"),
+    (2, ["apps", "toll", "--g", "power:2", "--n", "0", "--omega", "0.4"], "error:"),
+    # Further inputs that ended in a traceback before the boundary.
+    (2, ["dvalue", "--game", "majority:5", *_SHAPE, "--method", "mc", "--seed", "-1"], "error:"),
+    (2, ["apps", "toll", "--g", "power:1e6", "--n", "8", "--omega", "0.5"], "error:"),
+    (2, ["verify", "--theorem", "2", "--omega", "0.9", "--delta", "0.1", "--tau", "0.5",
+         "--n-list", "1" + "0" * 400], "error:"),
+    # Bytes that are not UTF-8 are bad data, not a crash.
+    (4, ["series", "{binary.csv}", "--delta", "0.1", "--n", "1e5"], "error:"),
+    # A table that does not cover the traffic volume is bad scenario data.
+    (4, ["apps", "toll", "--scenario", "{toll_range.json}"], "error:"),
+]
+
+
+class TestErrorBoundary:
+    @pytest.mark.parametrize(
+        "expected, argv, err_tail", PROBES, ids=[" ".join(p[1])[:100] for p in PROBES]
+    )
+    def test_probe(self, expected, argv, err_tail, tmp_path, capsys):
+        _write_files(tmp_path)
+        # An uncaught exception propagates out of run_cli and fails the test.
+        code, out, err = run_cli(_materialize(argv, tmp_path), capsys)
+        assert code == expected
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(err_tail)
+        if code == 0:
+            assert not _NAN_TOKENS & set(out.replace(",", " ").split())
+
+    def test_rejected_row_keeps_good_rows(self, tmp_path, capsys):
+        _write_files(tmp_path)
+        code, out, err = run_cli(
+            _materialize(["series", "{row_delta.csv}", "--delta", "0.1", "--n", "1e5"], tmp_path),
+            capsys,
+        )
+        assert code == 4
+        assert err.splitlines() == ["rejected rows:", _ROW_DELTA_REJECTED]
+        assert [r.split(",")[0] for r in out.splitlines()] == ["period", "p2"]
+
+
+# Value pools for the argv fuzz: small, so every run stays cheap.
+_F = st.sampled_from(["-5", "0", "0.5", "0.9", "1", "1e6", "nan", "inf", "x"])
+_GAME = st.one_of(
+    st.sampled_from(
+        ["majority:5", "kofn:4:2", "unanimity:3", "weighted:3,2,1:4", "nosuch:3",
+         "{pair.json}", "{trunc.json}", "{nan.json}", "{n30.json}", "{missing.json}"]
+    ),
+    st.builds("majority:{}".format, st.sampled_from(["-5", "0", "1", "8", "x"])),
+    st.builds("additive:{},{}".format, _F, _F),
+    st.builds("weighted:{},1:{}".format, _F, _F),
+)
+_SAMPLING = [
+    ("--method?", st.sampled_from(["exact", "mc"])),
+    ("--samples?", st.sampled_from(["-1", "0", "1", "7", "50"])),
+    ("--seed?", st.sampled_from(["-1", "0", "3"])),
+    ("--streams?", st.sampled_from(["-1", "0", "1", "2"])),
+    ("--threads?", st.sampled_from(["0", "1", "2"])),
+]
+_SUBCOMMANDS = {
+    "tax-rate": [("--omega", _F), ("--delta", _F), ("--n?", _F)],
+    "series": [("", st.sampled_from(["{rates.csv}", "{row_delta.csv}", "{bad_rows.csv}", "{binary.csv}",
+                                     "{missing.csv}"])),
+               ("--delta", _F), ("--n", _F)],
+    "dvalue": [("--game", _GAME), ("--theta", _F), ("--rho", _F), *_SAMPLING],
+    "sweep": [("--n?", _F), ("--delta?", _F),
+              ("--omega-range?", st.builds("{}:{}".format, _F, _F)),
+              ("--tau-range?", st.builds("{}:{}".format, _F, _F)),
+              ("--resolution", st.sampled_from(["-1", "0", "1", "2", "5"]))],
+    "verify": [("--theorem", st.sampled_from(["2", "3", "4", "5", "6", "7"])),
+               ("--omega", _F), ("--delta", _F), ("--tau", _F),
+               ("--n-list?", st.sampled_from(["1000,10000", "1000", "0", "-5", "x", ","]))],
+    "apps voting": [("--game", _GAME), ("--theta", _F), ("--rho", _F), *_SAMPLING],
+    "apps insurance": [("--game", _GAME), ("--theta", _F), ("--rho", _F), ("--surcharge", _F)],
+    "apps toll": [("--scenario?", st.sampled_from(["{toll.json}", "{toll_x.json}",
+                                                   "{toll_list.json}", "{missing.json}"])),
+                  ("--g?", st.one_of(st.builds("power:{}".format, _F),
+                                    st.builds("power:{}:{}".format, _F, _F),
+                                    st.builds("linear:{}".format, _F),
+                                    st.just("bogus:1"))),
+                  ("--n?", st.sampled_from(["-5", "0", "1", "2", "8", "x"])),
+                  ("--omega?", _F)],
+}
+_CSV_HEADERS = {
+    "tax-rate": "omega,delta,",
+    "series": "period,omega,delta,tau_asymptotic,tau_corrected",
+    "sweep": cli._SWEEP_HEADER,
+    "verify": "n,theta,rho,mean,variance,",
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    argv = command.split()
+    for flag, values in _SUBCOMMANDS[command]:
+        # Required arguments are always given, optional ones ("?") sometimes.
+        if flag.endswith("?") and not draw(st.booleans()):
+            continue
+        argv += [flag.rstrip("?"), draw(values)] if flag else [draw(values)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    _write_files(root)
+    return root
+
+
+def _run_redirected(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as ex:  # argparse rejects the argv
+            code = ex.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(argv=_argv())
+def test_argv_fuzz_exits_cleanly(fuzz_root, argv):
+    code, out, err = _run_redirected(_materialize(argv, fuzz_root))
+    assert code in {0, 2, 3, 4, 5, 6}, (code, err)
+    if code != 0:
+        return
+    if argv[0] in _CSV_HEADERS:
+        assert out.startswith(_CSV_HEADERS[argv[0]])
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len({len(r) for r in rows}) == 1
+    else:
+        json.loads(out, parse_constant=_reject_constant)
