@@ -18,7 +18,6 @@ from .errors import DataError, DomainError
 from .production import (
     ENUMERATION_CAP,
     Game,
-    KOutOfNGame,
     SizeSymmetricGame,
     WeightedVotingGame,
 )
@@ -84,7 +83,7 @@ class PowerReport:
 
 
 def _require_binary_monotone(game: Game) -> None:
-    if isinstance(game, (KOutOfNGame, WeightedVotingGame)):
+    if isinstance(game, WeightedVotingGame):
         return
     if isinstance(game, SizeSymmetricGame):
         u = game.value_by_size()
@@ -168,6 +167,11 @@ class CostCurve:
     kind = "abstract"
 
     def __call__(self, volume: float) -> float:
+        if volume < 0:
+            raise DomainError(f"traffic volume must be non-negative, got {volume}")
+        return self._cost(volume)
+
+    def _cost(self, volume: float) -> float:
         raise NotImplementedError
 
     def metadata(self) -> dict:
@@ -183,27 +187,21 @@ class PowerCurve(CostCurve):
         self.exponent = float(exponent)
         self.coefficient = float(coefficient)
 
-    def __call__(self, volume: float) -> float:
-        if volume < 0:
-            raise DomainError(f"traffic volume must be non-negative, got {volume}")
+    def _cost(self, volume: float) -> float:
         return self.coefficient * volume**self.exponent
 
     def metadata(self) -> dict:
         return {"type": "power", "exponent": self.exponent, "coefficient": self.coefficient}
 
 
-class LinearCurve(CostCurve):
+class LinearCurve(PowerCurve):
+    """slope * volume: the power curve with exponent 1."""
+
     kind = "linear"
 
     def __init__(self, slope: float):
-        if not 0.0 <= slope < math.inf:
-            raise DomainError("cost curves must be nondecreasing and finite")
-        self.slope = float(slope)
-
-    def __call__(self, volume: float) -> float:
-        if volume < 0:
-            raise DomainError(f"traffic volume must be non-negative, got {volume}")
-        return self.slope * volume
+        super().__init__(1.0, slope)
+        self.slope = self.coefficient
 
     def metadata(self) -> dict:
         return {"type": "linear", "slope": self.slope}
@@ -228,7 +226,7 @@ class TableCurve(CostCurve):
         self.x = x
         self.y = y
 
-    def __call__(self, volume: float) -> float:
+    def _cost(self, volume: float) -> float:
         if volume < self.x[0] or volume > self.x[-1]:
             # The table, not the caller, lacks the data for this volume.
             raise DataError(

@@ -413,7 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=10000.0)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--omega-range", default="0.05:0.95")
-    p.add_argument("--tau-range", default="0.0:1.0")
+    p.add_argument(
+        "--tau-range", default="0.0:1.0",
+        help="LO:HI; write --tau-range=LO:HI when LO is negative",
+    )
     p.add_argument("--resolution", type=int, default=41, help="grid points per axis")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)

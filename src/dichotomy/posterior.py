@@ -10,7 +10,7 @@ MAD-to-variance ratio.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from scipy.special import betainc, betaincinv
@@ -164,9 +164,6 @@ class LimitRow:
     abs_error: float
 
 
-_CSV_HEADER = "n,theta,rho,mean,variance,n_var,lower_semi,upper_semi,mad,target,abs_error"
-
-
 @dataclass(frozen=True)
 class LimitReport:
     kind: str
@@ -175,25 +172,8 @@ class LimitReport:
     details: dict
 
     def to_csv(self) -> str:
-        lines = [_CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                csv_line(
-                    [
-                        r.n,
-                        r.theta,
-                        r.rho,
-                        r.mean,
-                        r.variance,
-                        r.n_var,
-                        r.lower_semi,
-                        r.upper_semi,
-                        r.mad,
-                        r.target,
-                        r.abs_error,
-                    ]
-                )
-            )
+        lines = [",".join(f.name for f in fields(LimitRow))]
+        lines += [csv_line(astuple(r)) for r in self.rows]
         return "\n".join(lines) + "\n"
 
 

@@ -8,6 +8,7 @@ voting bodies and component systems stay tractable.
 
 import json
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -36,15 +37,6 @@ ENUMERATION_CAP = 24
 _ENUMERATION_WARN = 20
 
 
-def _warn_if_costly(n: int) -> None:
-    if n > _ENUMERATION_WARN:
-        warnings.warn(
-            f"enumerating 2^{n} subsets; expect noticeable cost above "
-            f"n = {_ENUMERATION_WARN}",
-            stacklevel=3,
-        )
-
-
 class Game:
     """Common interface of all production-function representations."""
 
@@ -53,7 +45,12 @@ class Game:
     size_only = False
 
     def value(self, T: SubsetId) -> float:
-        raise NotImplementedError
+        """v(T), by the same code that enumeration and Monte Carlo use."""
+        if T.n != self.n:
+            raise DomainError(f"subset over {T.n} players, game has {self.n}")
+        row = np.zeros((1, self.n), dtype=bool)
+        row[0, [i - 1 for i in T.members]] = True
+        return float(self.values_for_memberships(row)[0])
 
     def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
         """Vectorized v over a (k, n) boolean membership matrix."""
@@ -69,14 +66,15 @@ class Game:
             raise CapacityError(
                 f"dense enumeration limited to n <= {ENUMERATION_CAP}, got {self.n}"
             )
-        _warn_if_costly(self.n)
+        if self.n > _ENUMERATION_WARN:
+            warnings.warn(
+                f"enumerating 2^{self.n} subsets; expect noticeable cost above "
+                f"n = {_ENUMERATION_WARN}",
+                stacklevel=2,
+            )
         masks = np.arange(1 << self.n, dtype=np.int64)
         members = (masks[:, None] >> np.arange(self.n)[None, :]) & 1
         return self.values_for_memberships(members.astype(bool))
-
-    def _check_subset(self, T: SubsetId) -> None:
-        if T.n != self.n:
-            raise DomainError(f"subset over {T.n} players, game has {self.n}")
 
 
 class DenseTableGame(Game):
@@ -100,10 +98,6 @@ class DenseTableGame(Game):
         self.table = values
         self.table.setflags(write=False)
 
-    def value(self, T: SubsetId) -> float:
-        self._check_subset(T)
-        return float(self.table[T.mask])
-
     def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
         masks = members @ (1 << np.arange(self.n, dtype=np.int64))
         return self.table[masks]
@@ -121,15 +115,13 @@ class SizeSymmetricGame(Game):
         by_size = np.asarray(by_size, dtype=float)
         if n < 1 or by_size.shape != (n + 1,):
             raise DomainError(f"need n+1 size values, got {by_size.shape} for n={n}")
+        if not np.isfinite(by_size).all():
+            raise DomainError("size values must be finite")
         if by_size[0] != 0.0:
             raise DomainError("value of the empty coalition must be 0")
         self.n = n
         self.by_size = by_size
         self.by_size.setflags(write=False)
-
-    def value(self, T: SubsetId) -> float:
-        self._check_subset(T)
-        return float(self.by_size[T.size])
 
     def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
         return self.by_size[members.sum(axis=1)]
@@ -138,26 +130,14 @@ class SizeSymmetricGame(Game):
         return self.by_size
 
 
-class KOutOfNGame(Game):
+class KOutOfNGame(SizeSymmetricGame):
     """v(T) = 1 when |T| >= k, else 0; the redundant-system benchmark."""
-
-    size_only = True
 
     def __init__(self, n: int, k: int):
         if n < 1 or not (1 <= k <= n):
             raise DomainError(f"need 1 <= k <= n, got k={k}, n={n}")
-        self.n = n
+        super().__init__(n, np.arange(n + 1) >= k)
         self.k = k
-
-    def value(self, T: SubsetId) -> float:
-        self._check_subset(T)
-        return 1.0 if T.size >= self.k else 0.0
-
-    def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
-        return (members.sum(axis=1) >= self.k).astype(float)
-
-    def value_by_size(self) -> np.ndarray:
-        return (np.arange(self.n + 1) >= self.k).astype(float)
 
 
 class WeightedVotingGame(Game):
@@ -179,11 +159,6 @@ class WeightedVotingGame(Game):
         self.weights.setflags(write=False)
         self.quota = float(quota)
 
-    def value(self, T: SubsetId) -> float:
-        self._check_subset(T)
-        w = sum(self.weights[i - 1] for i in T.members)
-        return 1.0 if w >= self.quota else 0.0
-
     def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
         return (members @ self.weights >= self.quota).astype(float)
 
@@ -201,10 +176,6 @@ class AdditiveGame(Game):
         self.player_values = player_values
         self.player_values.setflags(write=False)
 
-    def value(self, T: SubsetId) -> float:
-        self._check_subset(T)
-        return float(sum(self.player_values[i - 1] for i in T.members))
-
     def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
         return members @ self.player_values
 
@@ -214,27 +185,23 @@ def evaluate(game: Game, T: SubsetId) -> float:
     return game.value(T)
 
 
-def _check_pair(game: Game, i: int, j: int) -> None:
+def _compare_pair(game: Game, i: int, j: int, op) -> bool:
+    """Whether op(v(Z + i), v(Z + j)) holds for every Z avoiding both players."""
     if i == j:
         raise DomainError("players must be distinct")
     for p in (i, j):
         if not 1 <= p <= game.n:
             raise DomainError(f"player {p} outside 1..{game.n}")
-
-
-def _pairwise_dense_compare(game: Game, i: int, j: int):
-    """Arrays v(Z + i), v(Z + j) over all Z avoiding both players."""
-    if game.n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"pairwise enumeration limited to n <= {ENUMERATION_CAP}, got {game.n}"
-        )
-    _warn_if_costly(game.n)
+    if game.size_only:
+        return True
+    if isinstance(game, AdditiveGame):
+        return bool(op(game.player_values[i - 1], game.player_values[j - 1]))
     table = game.dense_values()
     masks = np.arange(1 << game.n, dtype=np.int64)
     bi = 1 << (i - 1)
     bj = 1 << (j - 1)
-    z = masks[(masks & bi == 0) & (masks & bj == 0)]
-    return table[z | bi], table[z | bj]
+    z = masks[masks & (bi | bj) == 0]
+    return bool(np.all(op(table[z | bi], table[z | bj])))
 
 
 def uniformly_outperforms(game: Game, i: int, j: int) -> bool:
@@ -245,24 +212,12 @@ def uniformly_outperforms(game: Game, i: int, j: int) -> bool:
     two requirements reduce to the same comparison over coalitions avoiding
     the pair.  Ties count as outperforming.
     """
-    _check_pair(game, i, j)
-    if game.size_only:
-        return True
-    if isinstance(game, AdditiveGame):
-        return bool(game.player_values[i - 1] >= game.player_values[j - 1])
-    with_i, with_j = _pairwise_dense_compare(game, i, j)
-    return bool(np.all(with_i >= with_j))
+    return _compare_pair(game, i, j, operator.ge)
 
 
 def is_symmetric_pair(game: Game, i: int, j: int) -> bool:
     """Whether i and j are interchangeable in v (mutual outperformance)."""
-    _check_pair(game, i, j)
-    if game.size_only:
-        return True
-    if isinstance(game, AdditiveGame):
-        return bool(game.player_values[i - 1] == game.player_values[j - 1])
-    with_i, with_j = _pairwise_dense_compare(game, i, j)
-    return bool(np.all(with_i == with_j))
+    return _compare_pair(game, i, j, operator.eq)
 
 
 def game_from_json_dict(spec: dict) -> DenseTableGame:

@@ -2,10 +2,13 @@
 
 Every float is rendered with 17 significant digits, which round-trips
 losslessly through ``float()``, so repeated runs with identical inputs give
-byte-identical output.
+byte-identical output.  JSON has no token for nan or infinity, so
+``json_dumps`` refuses them; CSV cells carry them as ``nan``/``inf``.
 """
 
 import math
+
+from .errors import DomainError
 
 __all__ = ["fmt_float", "json_dumps", "csv_line"]
 
@@ -31,6 +34,8 @@ def _emit(obj, out: list[str]) -> None:
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise DomainError(f"non-finite result {fmt_float(obj)} has no JSON form")
         out.append(fmt_float(obj))
     elif isinstance(obj, dict):
         out.append("{")
@@ -60,13 +65,16 @@ def json_dumps(obj) -> str:
 
 
 def csv_line(fields) -> str:
-    """One comma-separated line; floats formatted, everything else via str."""
+    """One comma-separated line; floats formatted, strings quoted if needed."""
     parts = []
     for f in fields:
         if isinstance(f, bool):
             parts.append("true" if f else "false")
         elif isinstance(f, float):
             parts.append(fmt_float(f))
+        elif isinstance(f, str) and any(c in f for c in ',"\r\n'):
+            # Quoted only where a reader would split it, as csv.QUOTE_MINIMAL does.
+            parts.append('"' + f.replace('"', '""') + '"')
         else:
             parts.append(str(f))
     return ",".join(parts)

@@ -173,6 +173,22 @@ class TestHighwayToll:
         result = highway_toll(load_toll_scenario(str(path)))
         assert result.toll == pytest.approx(3600.0)
 
+    def test_linear_is_the_unit_power_curve(self):
+        g = LinearCurve(2.5)
+        assert isinstance(g, PowerCurve)
+        assert g.slope == 2.5
+        assert g.metadata() == {"type": "linear", "slope": 2.5}
+        for v in (0.0, 1.0, 0.1, 35.0, 1e300):
+            assert g(v) == PowerCurve(1.0, 2.5)(v) == 2.5 * v
+
+    @pytest.mark.parametrize(
+        "g", [PowerCurve(2.0), LinearCurve(1.0), TableCurve([-5, 5], [0.0, 1.0])],
+        ids=lambda g: g.kind,
+    )
+    def test_negative_volume_rejected(self, g):
+        with pytest.raises(DomainError, match="non-negative"):
+            g(-1.0)
+
     def test_curve_spec_validation(self):
         with pytest.raises(DomainError):
             cost_curve_from_json_dict({"type": "mystery"})

@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,6 +92,15 @@ class TestSeries:
         assert float(rows[0][2]) == 0.3  # row delta wins
         assert float(rows[1][2]) == 0.1  # blank falls back to the flag
         assert float(rows[0][3]) == pytest.approx(1 - 0.9 + 0.3 * 0.9)
+
+
+    def test_label_with_comma_is_quoted(self, tmp_path, capsys):
+        path = self._write(tmp_path, 'period,omega\n"a,b",0.5\n"say ""hi""",0.6\n')
+        code, out, _ = run_cli(["series", path, "--delta", "0.1", "--n", "1e5"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert [len(r) for r in rows] == [5, 5, 5]
+        assert [r[0] for r in rows[1:]] == ["a,b", 'say "hi"']
 
 
 class TestDvalue:
@@ -215,6 +226,14 @@ class TestSweep:
             cols = line.split(",")
             for k in (0, 1, 2, 3, 4, 5, 6):
                 float(cols[k])
+
+
+    def test_negative_tau_range_needs_equals_form(self, capsys):
+        code, out, _ = run_cli(["sweep", "--tau-range=-0.5:1", "--resolution", "3"], capsys)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 9
+        assert {float(r.split(",")[1]) for r in rows} == {-0.5, 0.25, 1.0}
 
 
 class TestVerify:
@@ -415,6 +434,10 @@ PROBES = [
     (4, ["series", "{binary.csv}", "--delta", "0.1", "--n", "1e5"], "error:"),
     # A table that does not cover the traffic volume is bad scenario data.
     (4, ["apps", "toll", "--scenario", "{toll_range.json}"], "error:"),
+    # JSON has no token for a result that overflowed to inf or nan.
+    (2, ["dvalue", "--game", "additive:1e308,1e308", *_SHAPE], "error:"),
+    (2, ["apps", "insurance", "--game", "additive:1e308,1e308", *_SHAPE, "--surcharge", "1"],
+     "error:"),
 ]
 
 
@@ -535,3 +558,15 @@ def test_argv_fuzz_exits_cleanly(fuzz_root, argv):
         assert len({len(r) for r in rows}) == 1
     else:
         json.loads(out, parse_constant=_reject_constant)
+
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.splitlines() if line.startswith("dichotomy ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_parses(argv):
+    args = cli.build_parser().parse_args(argv[1:])
+    assert args.func is not None

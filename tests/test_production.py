@@ -1,10 +1,12 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dichotomy import production
 from dichotomy.coalition import SubsetId
 from dichotomy.errors import CapacityError, DomainError
 from dichotomy.production import (
@@ -60,6 +62,29 @@ class TestEvaluate:
             evaluate(KOutOfNGame(4, 2), SubsetId.of(5, {1}))
 
 
+    @pytest.mark.parametrize(
+        "game",
+        [
+            KOutOfNGame(5, 3),
+            SizeSymmetricGame(5, [0, 0.5, 0.5, 2, 3, 3]),
+            WeightedVotingGame([3, 2, 2, 1, 0.5], 4.5),
+            AdditiveGame([1.0, 2.5, -0.5, 1e-3, 7.0]),
+            random_dense_game(5, np.random.default_rng(3)),
+        ],
+        ids=lambda g: type(g).__name__,
+    )
+    def test_value_is_the_enumerated_value(self, game):
+        table = game.dense_values()
+        for mask in range(1 << game.n):
+            assert evaluate(game, SubsetId.from_mask(game.n, mask)) == table[mask]
+
+    def test_k_out_of_n_is_a_size_table(self):
+        game = KOutOfNGame(6, 4)
+        assert isinstance(game, SizeSymmetricGame)
+        assert game.k == 4
+        assert list(game.value_by_size()) == [0, 0, 0, 0, 1, 1, 1]
+
+
 class TestValidation:
     def test_dense_empty_value_must_vanish(self):
         with pytest.raises(DomainError):
@@ -80,6 +105,11 @@ class TestValidation:
     def test_weighted_voting_rejects_zero_quota(self):
         with pytest.raises(DomainError):
             WeightedVotingGame([2, 1], 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_size_symmetric_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            SizeSymmetricGame(2, [0, bad, 1])
 
     def test_k_out_of_n_bounds(self):
         with pytest.raises(DomainError):
@@ -163,3 +193,18 @@ class TestOutperformance:
         for i in range(6):
             bit = 1 << i
             assert np.all(game.table[masks | bit] >= game.table[masks & ~bit])
+
+    def test_pair_check_warns_once(self, monkeypatch):
+        monkeypatch.setattr(production, "_ENUMERATION_WARN", 3)
+        game = WeightedVotingGame([3, 2, 2, 1], 4)
+        for check in (is_symmetric_pair, uniformly_outperforms):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                check(game, 2, 3)
+            assert len(caught) == 1
+            assert "enumerating 2^4 subsets" in str(caught[0].message)
+
+    def test_pair_check_beyond_cap(self):
+        game = WeightedVotingGame(np.ones(25), 13)
+        with pytest.raises(CapacityError):
+            is_symmetric_pair(game, 1, 2)
