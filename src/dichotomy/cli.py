@@ -12,7 +12,7 @@ one-line ``error: <message>`` on stderr and an exit code, through
 ``_EXIT_CODES`` (first match wins):
 
 * 2 usage: a flag outside its domain, non-finite flag values included
-  (``DomainError``)
+  (``DomainError``), or game values whose sum overflows (``RangeError``)
 * 3 infeasible: a singular balanced-budget system (``SingularSystemError``)
 * 4 data: a malformed file, game spec, curve spec or table row
   (``DataError``), or an unreadable input or unwritable ``--out``
@@ -48,7 +48,7 @@ from .dvalue import (
     exact_valuation,
     mc_valuation,
 )
-from .errors import CapacityError, DataError, DomainError, SingularSystemError
+from .errors import CapacityError, DataError, DomainError, RangeError, SingularSystemError
 from .posterior import LIMIT_CHECKS
 from .production import (
     AdditiveGame,
@@ -124,6 +124,8 @@ def parse_game_spec(spec: str) -> Game:
             return WeightedVotingGame(weights, float(q_str))
         if head == "additive":
             return AdditiveGame([float(x) for x in rest.split(",")])
+    except RangeError:
+        raise  # each value is fine, only their sum overflows: a usage error
     except ValueError as exc:
         raise DataError(f"bad game spec {spec!r}: {exc}") from exc
     if os.path.exists(spec):

@@ -4,7 +4,8 @@ The random employed set S is drawn from {1, ..., n} through three layers of
 uncertainty: an inclusion probability p with a Beta(theta, rho) prior, a
 coalition size s ~ Binomial(n, p), and a uniform choice among all subsets of
 that size.  Marginally every subset T has probability depending on its size
-only, which encodes equal opportunity for the players.
+only, which encodes equal opportunity for the players.  Given p, the last
+two layers amount to n independent Bernoulli(p) memberships.
 """
 
 import math
@@ -161,33 +162,22 @@ def posterior(model: CoalitionModel, s: int) -> PosteriorRate:
 
 
 def sample_subset(model: CoalitionModel, rng: np.random.Generator) -> SubsetId:
-    """One draw of S by the three-layer construction.
-
-    The Beta draw is delegated to numpy's generator, which stays usable for
-    shape parameters below one.
-    """
-    p = rng.beta(model.theta, model.rho)
-    s = int(rng.binomial(model.n, p))
-    members = rng.choice(model.n, size=s, replace=False)
-    return SubsetId(model.n, frozenset(int(i) + 1 for i in members))
+    """One draw of S: a single row of ``sample_memberships``."""
+    (row,) = sample_memberships(model, rng, 1)
+    return SubsetId(model.n, frozenset(int(i) + 1 for i in np.flatnonzero(row)))
 
 
 def sample_memberships(
     model: CoalitionModel, rng: np.random.Generator, count: int
 ) -> np.ndarray:
-    """Vectorized sampler: (count, n) boolean membership matrix.
+    """(count, n) boolean membership matrix of independent draws of S.
 
-    Row-wise marginal law matches ``subset_pmf``; used by the Monte Carlo
-    estimators where per-object subsets would be wasteful.
+    Each row draws p ~ Beta(theta, rho) (numpy's draw stays usable for
+    shapes below one), then admits each player alone with probability p.
+    This Bernoulli mixture has the row law of ``subset_pmf``.
     """
-    n = model.n
     p = rng.beta(model.theta, model.rho, size=count)
-    sizes = rng.binomial(n, p)
-    u = rng.random((count, n))
-    order = np.argsort(u, axis=1)
-    ranks = np.empty_like(order)
-    np.put_along_axis(ranks, order, np.arange(n)[None, :], axis=1)
-    return ranks < sizes[:, None]
+    return rng.random((count, model.n)) < p[:, None]
 
 
 def spawn_streams(seed: int, count: int) -> list[np.random.Generator]:

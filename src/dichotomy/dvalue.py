@@ -18,13 +18,7 @@ import numpy as np
 from .coalition import CoalitionModel, log_size_weights, sample_memberships, spawn_streams
 from .errors import CapacityError, DomainError, InvariantViolation, SingularSystemError
 from .numerics import log_beta, log_binom
-from .production import (
-    AdditiveGame,
-    DenseTableGame,
-    ENUMERATION_CAP,
-    Game,
-    uniformly_outperforms,
-)
+from .production import AdditiveGame, ENUMERATION_CAP, Game, uniformly_outperforms
 
 __all__ = [
     "Valuation",
@@ -37,7 +31,9 @@ __all__ = [
     "ordering_check",
 ]
 
-_MC_CHUNK = 65536
+# Membership cells (rows x players) per Monte Carlo chunk, or one row when n
+# is larger; the chunk depends on n only, not on the worker count.
+_MC_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -241,39 +237,22 @@ def aggregate_loss_closed_form(model: CoalitionModel, game: Game) -> float:
 
 
 def _mc_stream(model: CoalitionModel, game: Game, rng, count: int) -> np.ndarray:
-    """Accumulated sums for one stream: rows are gain, gain^2, loss, loss^2
-    per player, then production sum, production^2 and the sample count."""
+    """Sums for one stream: gain, gain^2, loss and loss^2 (a block of n each),
+    then production, production^2 and the sample count."""
     n = model.n
+    rows = max(1, _MC_CELLS // n)
     acc = np.zeros(4 * n + 3)
-    dense = isinstance(game, DenseTableGame)
-    bits = 1 << np.arange(n, dtype=np.int64)
-    done = 0
-    while done < count:
-        c = min(_MC_CHUNK, count - done)
-        members = sample_memberships(model, rng, c)
-        if dense:
-            masks = members @ bits
-            v_s = game.table[masks]
-        else:
-            v_s = game.values_for_memberships(members)
-        for i in range(n):
-            if dense:
-                v_flip = game.table[masks ^ bits[i]]
-            else:
-                flipped = members.copy()
-                flipped[:, i] = ~flipped[:, i]
-                v_flip = game.values_for_memberships(flipped)
-            inside = members[:, i]
-            g = np.where(inside, v_s - v_flip, 0.0)
-            l = np.where(inside, 0.0, v_flip - v_s)
-            acc[4 * i] += g.sum()
-            acc[4 * i + 1] += (g * g).sum()
-            acc[4 * i + 2] += l.sum()
-            acc[4 * i + 3] += (l * l).sum()
-        acc[4 * n] += v_s.sum()
-        acc[4 * n + 1] += (v_s * v_s).sum()
-        acc[4 * n + 2] += c
-        done += c
+    per_player = acc[: 4 * n].reshape(2, 2, n)
+    for done in range(0, count, rows):
+        members = sample_memberships(model, rng, min(rows, count - done))
+        v_s = game.values_for_memberships(members)
+        # v(T) - v(T xor {i}): the gain of a member, minus the loss of an outsider.
+        diff = v_s[:, None] - game.flipped_values(members)
+        gain = diff * members
+        for sums, x in zip(per_player, (gain, gain - diff)):
+            # Column sums of x and x^2; einsum needs no x * x temporary.
+            sums += np.einsum("ij->j", x), np.einsum("ij,ij->j", x, x)
+        acc[4 * n :] += (v_s.sum(), (v_s * v_s).sum(), len(v_s))
     return acc
 
 
@@ -332,10 +311,7 @@ def mc_valuation(
     acc = _tree_reduce(parts)
     n = model.n
     total = int(acc[4 * n + 2])
-    gain_sum = acc[0 : 4 * n : 4]
-    gain_sq = acc[1 : 4 * n : 4]
-    loss_sum = acc[2 : 4 * n : 4]
-    loss_sq = acc[3 : 4 * n : 4]
+    gain_sum, gain_sq, loss_sum, loss_sq = acc[: 4 * n].reshape(4, n)
     gain = gain_sum / total
     loss = loss_sum / total
     for arr in (gain, loss):

@@ -13,6 +13,10 @@ class DataError(DomainError):
     """Input data is malformed: a file, a game or curve spec, or a table row."""
 
 
+class RangeError(DomainError, OverflowError):
+    """Finite inputs whose sum leaves the float range."""
+
+
 class CapacityError(DichotomyError):
     """A request exceeds an enumeration or table-size cap."""
 

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .coalition import SubsetId
-from .errors import CapacityError, DataError, DomainError
+from .errors import CapacityError, DataError, DomainError, RangeError
 
 __all__ = [
     "Game",
@@ -38,11 +38,19 @@ _ENUMERATION_WARN = 20
 
 
 class Game:
-    """Common interface of all production-function representations."""
+    """Production function v(T) = _phi(sum of the weights _w over T); dense
+    tables weigh player i by the bit 2^(i-1) and look up the bitmask."""
 
     n: int
     # True when v(T) depends on |T| only, which unlocks the large-n paths.
     size_only = False
+
+    def _phi(self, stat: np.ndarray) -> np.ndarray:
+        """v from an array of fresh weight sums, which it may overwrite."""
+        raise NotImplementedError
+
+    def _weight_sums(self, members: np.ndarray) -> np.ndarray:
+        return members @ self._w
 
     def value(self, T: SubsetId) -> float:
         """v(T), by the same code that enumeration and Monte Carlo use."""
@@ -54,7 +62,14 @@ class Game:
 
     def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
         """Vectorized v over a (k, n) boolean membership matrix."""
-        raise NotImplementedError
+        return self._phi(self._weight_sums(members))
+
+    def flipped_values(self, members: np.ndarray) -> np.ndarray:
+        """(k, n) matrix of v(T xor {i}), the weight sum of T moved by -w_i or
+        +w_i; unlike a fresh evaluation of the flipped set, this may round a
+        non-integer weighted game at an exact quota tie to the other side."""
+        sign = 1 - 2 * members.view(np.int8)  # -1 inside T, +1 outside
+        return self._phi(self._weight_sums(members)[:, None] + sign * self._w)
 
     def value_by_size(self) -> np.ndarray:
         """v as a function of coalition size (size-symmetric games only)."""
@@ -77,6 +92,20 @@ class Game:
         return self.values_for_memberships(members.astype(bool))
 
 
+def _player_weights(values, what: str) -> np.ndarray:
+    """Read-only weight vector whose every partial sum is finite."""
+    w = np.asarray(values, dtype=float)
+    if w.ndim != 1 or len(w) < 1:
+        raise DomainError(f"{what} must be a non-empty vector")
+    if not np.isfinite(w).all():
+        raise DomainError(f"{what} must be finite")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.abs(w).sum()):
+            raise RangeError(f"sum of |{what}| overflows the float range")
+    w.setflags(write=False)
+    return w
+
+
 class DenseTableGame(Game):
     """Explicit table of 2^n values indexed by bitmask (bit i-1 = player i)."""
 
@@ -97,10 +126,10 @@ class DenseTableGame(Game):
         self.n = n
         self.table = values
         self.table.setflags(write=False)
+        self._w = 1 << np.arange(n, dtype=np.int64)
 
-    def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
-        masks = members @ (1 << np.arange(self.n, dtype=np.int64))
-        return self.table[masks]
+    def _phi(self, stat):
+        return self.table[stat]
 
     def dense_values(self) -> np.ndarray:
         return self.table
@@ -122,9 +151,14 @@ class SizeSymmetricGame(Game):
         self.n = n
         self.by_size = by_size
         self.by_size.setflags(write=False)
+        self._w = np.ones(n, dtype=np.int64)
 
-    def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
-        return self.by_size[members.sum(axis=1)]
+    def _phi(self, stat):
+        return self.by_size[stat]
+
+    def _weight_sums(self, members):
+        # Unit weights: a count, with no int64 copy of the membership matrix.
+        return members.sum(axis=1)
 
     def value_by_size(self) -> np.ndarray:
         return self.by_size
@@ -144,40 +178,30 @@ class WeightedVotingGame(Game):
     """v(T) = 1 when the weight of T reaches the quota, else 0."""
 
     def __init__(self, weights, quota: float):
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or len(weights) < 1:
-            raise DomainError("weights must be a non-empty vector")
-        if not np.isfinite(weights).all():
-            raise DomainError("weights must be finite")
+        weights = _player_weights(weights, "weights")
         if np.any(weights < 0):
             raise DomainError("negative weights would break monotonicity")
         if not 0.0 < quota < math.inf:
             # A positive quota makes the empty coalition lose.
             raise DomainError(f"quota must be positive and finite, got {quota}")
         self.n = len(weights)
-        self.weights = weights
-        self.weights.setflags(write=False)
+        self.weights = self._w = weights
         self.quota = float(quota)
 
-    def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
-        return (members @ self.weights >= self.quota).astype(float)
+    def _phi(self, stat):
+        # 1.0 or 0.0 over the weight sums, a temporary: no second 8-byte array.
+        return np.greater_equal(stat, self.quota, out=stat)
 
 
 class AdditiveGame(Game):
     """v(T) = sum of per-player values over T."""
 
     def __init__(self, player_values):
-        player_values = np.asarray(player_values, dtype=float)
-        if player_values.ndim != 1 or len(player_values) < 1:
-            raise DomainError("player values must be a non-empty vector")
-        if not np.isfinite(player_values).all():
-            raise DomainError("player values must be finite")
-        self.n = len(player_values)
-        self.player_values = player_values
-        self.player_values.setflags(write=False)
+        self.player_values = self._w = _player_weights(player_values, "player values")
+        self.n = len(self.player_values)
 
-    def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
-        return members @ self.player_values
+    def _phi(self, stat):
+        return stat
 
 
 def evaluate(game: Game, T: SubsetId) -> float:

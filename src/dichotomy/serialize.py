@@ -22,6 +22,10 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# JSON strings may not hold a backslash, a quote or U+0000-U+001F raw.
+_JSON_ESCAPES = {ord("\\"): "\\\\", ord('"'): '\\"'} | {c: f"\\u{c:04x}" for c in range(32)}
+
+
 def _emit(obj, out: list[str]) -> None:
     if obj is None:
         out.append("null")
@@ -30,7 +34,7 @@ def _emit(obj, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append('"' + obj.translate(_JSON_ESCAPES) + '"')
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):

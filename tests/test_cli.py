@@ -2,12 +2,16 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dichotomy
 from dichotomy import cli
 
 
@@ -464,6 +468,34 @@ class TestErrorBoundary:
         assert code == 4
         assert err.splitlines() == ["rejected rows:", _ROW_DELTA_REJECTED]
         assert [r.split(",")[0] for r in out.splitlines()] == ["period", "p2"]
+
+
+_OVERFLOWING_GAME = ["--game", "additive:1e308,1e308", *_SHAPE]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dvalue", *_OVERFLOWING_GAME],
+        ["dvalue", *_OVERFLOWING_GAME, "--method", "mc", "--samples", "100"],
+        ["apps", "insurance", *_OVERFLOWING_GAME, "--surcharge", "1"],
+    ],
+    ids=["exact", "mc", "insurance"],
+)
+def test_overflowing_game_is_one_error_line(argv):
+    # A fresh interpreter prints numpy's warnings to stderr as a user sees them.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(dichotomy.__file__).resolve().parents[1]),
+        PYTHONWARNINGS="default",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dichotomy", *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ")
 
 
 # Value pools for the argv fuzz: small, so every run stays cheap.

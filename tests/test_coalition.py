@@ -187,6 +187,25 @@ class TestSampling:
         se = math.sqrt(expected * (1 - expected) / 100_000)
         assert np.all(np.abs(freq - expected) <= 4.5 * se)
 
+    def test_membership_matrix_matches_subset_law(self):
+        model = CoalitionModel(4, 0.7, 1.8)
+        rng = np.random.default_rng(17)
+        draws = 200_000
+        rows = sample_memberships(model, rng, draws)
+        observed = np.bincount(rows @ (1 << np.arange(4)), minlength=16)
+        expected = np.array(
+            [subset_pmf(model, SubsetId.from_mask(4, m)) for m in range(16)]
+        ) * draws
+        stat = ((observed - expected) ** 2 / expected).sum()
+        assert stat < stats.chi2.ppf(0.9999, df=15)
+
+    def test_single_draw_is_a_membership_row(self):
+        model = CoalitionModel(9, 1.5, 2.0)
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        for _ in range(50):
+            (row,) = sample_memberships(model, b, 1)
+            assert sample_subset(model, a).members == {int(i) + 1 for i in np.flatnonzero(row)}
+
     def test_spawned_streams_are_reproducible_and_distinct(self):
         a1, b1 = spawn_streams(42, 2)
         a2, b2 = spawn_streams(42, 2)

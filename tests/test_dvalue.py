@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dichotomy.coalition import CoalitionModel
+from dichotomy import dvalue
+from dichotomy.coalition import CoalitionModel, sample_memberships
 from dichotomy.dvalue import (
     aggregate_gain_closed_form,
     aggregate_loss_closed_form,
@@ -231,6 +232,23 @@ class TestMonteCarlo:
         exact = exact_valuation(model, game)
         val = mc_valuation(model, game, 150_000, seed=21)
         assert np.abs(val.gain - exact.gain).max() <= 5 * val.gain_se.max()
+
+    def test_chunks_stay_within_the_cell_budget(self, monkeypatch):
+        shapes = []
+
+        def recording(model, rng, count):
+            members = sample_memberships(model, rng, count)
+            shapes.append(members.shape)
+            return members
+
+        monkeypatch.setattr(dvalue, "sample_memberships", recording)
+        model = CoalitionModel(1000, 2.0, 3.0)
+        game = KOutOfNGame(1000, 501)
+        one = mc_valuation(model, game, 20_000, seed=4, streams=1)
+        two = mc_valuation(model, game, 20_000, seed=4, streams=1, max_workers=2)
+        assert sum(rows for rows, _ in shapes) == 40_000
+        assert max(rows * cols for rows, cols in shapes) <= 1 << 16
+        assert one.to_json_dict() == two.to_json_dict()
 
     def test_sample_validation(self):
         with pytest.raises(DomainError):

@@ -117,6 +117,17 @@ class TestValidation:
         with pytest.raises(DomainError):
             KOutOfNGame(4, 5)
 
+    @pytest.mark.parametrize(
+        "build", [AdditiveGame, lambda w: WeightedVotingGame(w, 1.0)], ids=["additive", "weighted"]
+    )
+    def test_weight_sum_past_float_range(self, build):
+        # Each weight is finite; only their sum overflows, and numpy must not warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                build([1e308, 1e308])
+            build([8e307, 8e307])
+
 
 class TestJsonInterface:
     def test_roundtrip(self, tmp_path):
@@ -208,3 +219,35 @@ class TestOutperformance:
         game = WeightedVotingGame(np.ones(25), 13)
         with pytest.raises(CapacityError):
             is_symmetric_pair(game, 1, 2)
+
+
+def _fresh_flips(game, members):
+    """v(T xor {i}) by evaluating each column-flipped matrix afresh."""
+    out = np.empty(members.shape)
+    for i in range(game.n):
+        flipped = members.copy()
+        flipped[:, i] = ~flipped[:, i]
+        out[:, i] = game.values_for_memberships(flipped)
+    return out
+
+
+_FLIP_GAMES = {
+    "size-table": SizeSymmetricGame(7, np.r_[0.0, np.random.default_rng(3).random(7)]),
+    "k-of-n": KOutOfNGame(7, 4),
+    "weighted-integer": WeightedVotingGame([5, 3, 3, 2, 1, 1, 4], 9),
+    "additive-dyadic": AdditiveGame([0.5, -1.25, 3.0, 0.125, 2.75, -0.375, 1.0]),
+    "dense": random_dense_game(7, np.random.default_rng(4)),
+}
+
+
+@pytest.mark.parametrize("name", _FLIP_GAMES)
+def test_flip_matches_fresh_evaluation(name):
+    game = _FLIP_GAMES[name]
+    n = game.n
+    rng = np.random.default_rng(9)
+    members = np.vstack(
+        [np.zeros((1, n), bool), np.ones((1, n), bool), rng.random((300, n)) < rng.random((300, 1))]
+    )
+    got = game.flipped_values(members)
+    assert got.shape == (len(members), n)
+    assert got.tobytes() == _fresh_flips(game, members).tobytes()

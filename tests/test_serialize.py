@@ -15,6 +15,15 @@ def test_json_refuses_non_finite(bad):
         json_dumps({"ok": [1.0, 2], "nested": {"x": [0.5, bad]}})
 
 
+@pytest.mark.parametrize(
+    "text", ["two\nlines", "tab\there", "soh\x01", "nul\x00", "us\x1f", 'quote" back\\', "é"]
+)
+def test_json_strings_round_trip(text):
+    # json.loads rejects raw control characters inside strings.
+    obj = {text: [text, "plain"]}
+    assert json.loads(json_dumps(obj)) == obj
+
+
 def test_json_finite_floats_round_trip():
     obj = {"a": 0.1, "b": [1e-300, -2.5e307], "c": None, "d": True}
     assert json.loads(json_dumps(obj)) == obj
