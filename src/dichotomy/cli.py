@@ -57,11 +57,11 @@ from .production import (
     WeightedVotingGame,
     load_dense_game,
 )
-from .serialize import csv_line, json_dumps
+from .serialize import csv_line, csv_lines, json_dumps
 from .taxpolicy import (
     asymptotic_tax_rule,
     corrected_tax_rule,
-    feasible_set_probe,
+    probe_columns,
     solve_theta_rho,
 )
 
@@ -252,31 +252,32 @@ def _cmd_sweep(args) -> int:
     if not (0.0 < w_lo and w_hi < 1.0):
         raise DomainError("omega range must stay inside (0,1)")
 
-    def grid(lo: float, hi: float) -> list[float]:
+    def grid(lo: float, hi: float):
         if args.resolution == 1 or lo == hi:
             return [lo]
-        return list(np.linspace(lo, hi, args.resolution))
+        return np.linspace(lo, hi, args.resolution)
 
+    taus = grid(t_lo, t_hi)
     lines = [_SWEEP_HEADER]
+    # One solve and one column format per omega row: the whole grid at once
+    # would hold every column of every row in memory.
     for omega in grid(w_lo, w_hi):
-        for sol in feasible_set_probe(args.n, omega, args.delta, grid(t_lo, t_hi)):
-            lines.append(
-                csv_line(
-                    [
-                        sol.inputs.omega,
-                        sol.inputs.tau,
-                        sol.inputs.delta,
-                        sol.inputs.n,
-                        sol.theta,
-                        sol.rho,
-                        sol.shorthands.d,
-                        sol.valid,
-                        sol.residual_benefits,
-                        sol.residual_welfare,
-                        sol.singular,
-                    ]
-                )
-            )
+        cols = probe_columns(args.n, omega, args.delta, taus)
+        lines += csv_lines(
+            [
+                omega,
+                cols.tau,
+                args.delta,
+                args.n,
+                cols.theta,
+                cols.rho,
+                cols.shorthands.d,
+                cols.valid,
+                cols.residual_benefits,
+                cols.residual_welfare,
+                cols.singular,
+            ]
+        )
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

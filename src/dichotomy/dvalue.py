@@ -34,6 +34,10 @@ __all__ = [
 # Membership cells (rows x players) per Monte Carlo chunk, or one row when n
 # is larger; the chunk depends on n only, not on the worker count.
 _MC_CELLS = 1 << 16
+# Monte Carlo sums squares of values and marginals.  A game whose values may
+# reach 2**_MC_MAX_EXP is scaled by a power of two, which is exact, so that
+# |marginal| < 2**401 and the sums of squares stay finite up to 2**220 samples.
+_MC_MAX_EXP = 400
 
 
 @dataclass(frozen=True)
@@ -236,18 +240,24 @@ def aggregate_loss_closed_form(model: CoalitionModel, game: Game) -> float:
     return _aggregate_closed_form(model, game, "loss")
 
 
-def _mc_stream(model: CoalitionModel, game: Game, rng, count: int) -> np.ndarray:
+def _scaled(values: np.ndarray, scale: float) -> np.ndarray:
+    # A power of two, so exact; ordinary games (scale 1) do no array work.
+    return values if scale == 1.0 else values * scale
+
+
+def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float) -> np.ndarray:
     """Sums for one stream: gain, gain^2, loss and loss^2 (a block of n each),
-    then production, production^2 and the sample count."""
+    then production, production^2 and the sample count, all in values
+    multiplied by ``scale``."""
     n = model.n
     rows = max(1, _MC_CELLS // n)
     acc = np.zeros(4 * n + 3)
     per_player = acc[: 4 * n].reshape(2, 2, n)
     for done in range(0, count, rows):
         members = sample_memberships(model, rng, min(rows, count - done))
-        v_s = game.values_for_memberships(members)
+        v_s = _scaled(game.values_for_memberships(members), scale)
         # v(T) - v(T xor {i}): the gain of a member, minus the loss of an outsider.
-        diff = v_s[:, None] - game.flipped_values(members)
+        diff = v_s[:, None] - _scaled(game.flipped_values(members), scale)
         gain = diff * members
         for sums, x in zip(per_player, (gain, gain - diff)):
             # Column sums of x and x^2; einsum needs no x * x temporary.
@@ -296,24 +306,26 @@ def mc_valuation(
         raise DomainError(f"seed must be non-negative, got {seed}")
     streams = min(streams, samples)
     rngs = spawn_streams(seed, streams)
+    shift = max(0, math.frexp(game.value_bound())[1] - _MC_MAX_EXP)
+    scale, unscale = math.ldexp(1.0, -shift), math.ldexp(1.0, shift)
     base, extra = divmod(samples, streams)
     counts = [base + (1 if k < extra else 0) for k in range(streams)]
     if max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             parts = list(
                 pool.map(
-                    lambda kr: _mc_stream(model, game, kr[1], counts[kr[0]]),
+                    lambda kr: _mc_stream(model, game, kr[1], counts[kr[0]], scale),
                     enumerate(rngs),
                 )
             )
     else:
-        parts = [_mc_stream(model, game, rng, c) for rng, c in zip(rngs, counts)]
+        parts = [_mc_stream(model, game, rng, c, scale) for rng, c in zip(rngs, counts)]
     acc = _tree_reduce(parts)
     n = model.n
     total = int(acc[4 * n + 2])
     gain_sum, gain_sq, loss_sum, loss_sq = acc[: 4 * n].reshape(4, n)
-    gain = gain_sum / total
-    loss = loss_sum / total
+    gain = gain_sum / total * unscale
+    loss = loss_sum / total * unscale
     for arr in (gain, loss):
         arr.setflags(write=False)
     return Valuation(
@@ -321,14 +333,16 @@ def mc_valuation(
         loss=loss,
         aggregate_gain=float(gain.sum()),
         aggregate_loss=float(loss.sum()),
-        expected_production=float(acc[4 * n] / total),
+        expected_production=float(acc[4 * n] / total * unscale),
         method="mc",
         samples=total,
         seed=seed,
         streams=streams,
-        gain_se=_se(gain_sum, gain_sq, total),
-        loss_se=_se(loss_sum, loss_sq, total),
-        expected_production_se=float(_se(acc[4 * n : 4 * n + 1], acc[4 * n + 1 : 4 * n + 2], total)[0]),
+        gain_se=_se(gain_sum, gain_sq, total) * unscale,
+        loss_se=_se(loss_sum, loss_sq, total) * unscale,
+        expected_production_se=float(
+            _se(acc[4 * n : 4 * n + 1], acc[4 * n + 1 : 4 * n + 2], total)[0] * unscale
+        ),
     )
 
 

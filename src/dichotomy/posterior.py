@@ -13,7 +13,6 @@ import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy.special import betainc, betaincinv
 
 from .coalition import PosteriorRate
 from .errors import DomainError
@@ -77,6 +76,8 @@ def beta_raw_moment(a: float, b: float, k: int) -> float:
 
 def beta_median(a: float, b: float) -> float:
     """Median as the inverse regularized incomplete beta at 1/2."""
+    from scipy.special import betaincinv  # scipy loads only where it is needed
+
     _check_shapes(a, b)
     return float(betaincinv(a, b, 0.5))
 
@@ -109,6 +110,8 @@ def semivariances(a: float, b: float) -> tuple[float, float]:
     betas at shifted shapes; combining them analytically leaves a single
     incomplete-beta call and no cancellation, at every shape size.
     """
+    from scipy.special import betainc  # scipy loads only where it is needed
+
     _check_shapes(a, b)
     var = beta_variance(a, b)
     mu = a / (a + b)

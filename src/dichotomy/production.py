@@ -71,6 +71,10 @@ class Game:
         sign = 1 - 2 * members.view(np.int8)  # -1 inside T, +1 outside
         return self._phi(self._weight_sums(members)[:, None] + sign * self._w)
 
+    def value_bound(self) -> float:
+        """An upper bound on |v(T)| over every coalition T."""
+        raise NotImplementedError
+
     def value_by_size(self) -> np.ndarray:
         """v as a function of coalition size (size-symmetric games only)."""
         raise DomainError(f"{type(self).__name__} is not size-symmetric")
@@ -90,6 +94,10 @@ class Game:
         masks = np.arange(1 << self.n, dtype=np.int64)
         members = (masks[:, None] >> np.arange(self.n)[None, :]) & 1
         return self.values_for_memberships(members.astype(bool))
+
+
+def _largest_magnitude(values: np.ndarray) -> float:
+    return float(max(values.max(), -values.min()))
 
 
 def _player_weights(values, what: str) -> np.ndarray:
@@ -131,6 +139,9 @@ class DenseTableGame(Game):
     def _phi(self, stat):
         return self.table[stat]
 
+    def value_bound(self) -> float:
+        return _largest_magnitude(self.table)
+
     def dense_values(self) -> np.ndarray:
         return self.table
 
@@ -155,6 +166,9 @@ class SizeSymmetricGame(Game):
 
     def _phi(self, stat):
         return self.by_size[stat]
+
+    def value_bound(self) -> float:
+        return _largest_magnitude(self.by_size)
 
     def _weight_sums(self, members):
         # Unit weights: a count, with no int64 copy of the membership matrix.
@@ -192,6 +206,9 @@ class WeightedVotingGame(Game):
         # 1.0 or 0.0 over the weight sums, a temporary: no second 8-byte array.
         return np.greater_equal(stat, self.quota, out=stat)
 
+    def value_bound(self) -> float:
+        return 1.0
+
 
 class AdditiveGame(Game):
     """v(T) = sum of per-player values over T."""
@@ -202,6 +219,9 @@ class AdditiveGame(Game):
 
     def _phi(self, stat):
         return stat
+
+    def value_bound(self) -> float:
+        return float(np.abs(self._w).sum())  # finite, as _player_weights checked
 
 
 def evaluate(game: Game, T: SubsetId) -> float:

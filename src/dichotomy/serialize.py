@@ -8,18 +8,16 @@ byte-identical output.  JSON has no token for nan or infinity, so
 
 import math
 
+import numpy as np
+
 from .errors import DomainError
 
-__all__ = ["fmt_float", "json_dumps", "csv_line"]
+__all__ = ["fmt_float", "json_dumps", "csv_line", "csv_lines"]
 
 
 def fmt_float(x: float) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
+    # Also "nan" for -nan, "inf", "-inf" and "-0".
+    return format(float(x), ".17g")
 
 
 # JSON strings may not hold a backslash, a quote or U+0000-U+001F raw.
@@ -68,17 +66,37 @@ def json_dumps(obj) -> str:
     return "".join(out)
 
 
+def _field(f) -> str:
+    if isinstance(f, bool):
+        return "true" if f else "false"
+    if isinstance(f, float):
+        return fmt_float(f)
+    if isinstance(f, str) and any(c in f for c in ',"\r\n'):
+        # Quoted only where a reader would split it, as csv.QUOTE_MINIMAL does.
+        return '"' + f.replace('"', '""') + '"'
+    return str(f)
+
+
 def csv_line(fields) -> str:
     """One comma-separated line; floats formatted, strings quoted if needed."""
-    parts = []
-    for f in fields:
-        if isinstance(f, bool):
-            parts.append("true" if f else "false")
-        elif isinstance(f, float):
-            parts.append(fmt_float(f))
-        elif isinstance(f, str) and any(c in f for c in ',"\r\n'):
-            # Quoted only where a reader would split it, as csv.QUOTE_MINIMAL does.
-            parts.append('"' + f.replace('"', '""') + '"')
-        else:
-            parts.append(str(f))
-    return ",".join(parts)
+    return ",".join(map(_field, fields))
+
+
+def _column(values: np.ndarray) -> list[str]:
+    if values.dtype == float:
+        return [format(x, ".17g") for x in values.tolist()]  # fmt_float, inlined
+    return list(map(_field, values.tolist()))
+
+
+def csv_lines(columns) -> list[str]:
+    """``csv_line`` of every row, for rows given as columns.
+
+    A column is a 1-D array with one field per row, or a single field that
+    every row repeats; fields follow the rule of ``csv_line``.  At least one
+    column must be an array.
+    """
+    rows = next(len(c) for c in columns if isinstance(c, np.ndarray))
+    cells = [
+        _column(c) if isinstance(c, np.ndarray) else [_field(c)] * rows for c in columns
+    ]
+    return list(map(",".join, zip(*cells)))

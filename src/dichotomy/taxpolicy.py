@@ -13,7 +13,7 @@ asymptotic risk criterion in this package.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -29,6 +29,8 @@ __all__ = [
     "solve_theta_rho",
     "asymptotic_tax_rule",
     "corrected_tax_rule",
+    "ProbeColumns",
+    "probe_columns",
     "feasible_set_probe",
     "employment_count",
 ]
@@ -55,21 +57,35 @@ class DeltaShorthands:
     d9: float
 
 
-def delta_shorthands(omega: float, tau: float, delta: float) -> DeltaShorthands:
-    w, t, e = float(omega), float(tau), float(delta)
-    return DeltaShorthands(
-        d=w + t - e * w - 1.0,
-        d1=e * w - w - t + 2.0,
-        d2=e * w * t - 2.0 * e * w - w * t * t + 2.0 * w * t + t - 1.0,
-        d3=e - t - e * t + t * t,
-        d4=(-e * w * t + e * w + e * t - 2.0 * e + w * t * t - 2.0 * w * t + w
-            - t * t + 3.0 * t - 1.0),
-        d5=-e * w + e * t - 2.0 * e + w - t * t + 4.0 * t - 2.0,
-        d6=-w * e + w * t + t - 1.0,
-        d7=-e - w * t + 2.0 * t + w - 1.0,
-        d8=-e * w - e + w + 3.0 * t - 2.0,
-        d9=-2.0 * e * w - e + 2.0 * w + 4.0 * t - 3.0,
+def _solver_values(w, t, e) -> tuple:
+    """d, d1, d2, d3 and d4, the shorthands the closed-form solve uses.
+
+    The arguments may be Python floats, numpy scalars or arrays: the solver
+    evaluates the same expressions over a float64 tau grid and in longdouble.
+    """
+    return (
+        w + t - e * w - 1.0,
+        e * w - w - t + 2.0,
+        e * w * t - 2.0 * e * w - w * t * t + 2.0 * w * t + t - 1.0,
+        e - t - e * t + t * t,
+        (-e * w * t + e * w + e * t - 2.0 * e + w * t * t - 2.0 * w * t + w
+         - t * t + 3.0 * t - 1.0),
     )
+
+
+def _shorthand_values(w, t, e) -> tuple:
+    """The ten shorthands, in DeltaShorthands order."""
+    return _solver_values(w, t, e) + (
+        -e * w + e * t - 2.0 * e + w - t * t + 4.0 * t - 2.0,
+        -w * e + w * t + t - 1.0,
+        -e - w * t + 2.0 * t + w - 1.0,
+        -e * w - e + w + 3.0 * t - 2.0,
+        -2.0 * e * w - e + 2.0 * w + 4.0 * t - 3.0,
+    )
+
+
+def delta_shorthands(omega: float, tau: float, delta: float) -> DeltaShorthands:
+    return DeltaShorthands(*_shorthand_values(float(omega), float(tau), float(delta)))
 
 
 @dataclass(frozen=True)
@@ -110,6 +126,24 @@ class TaxSolution:
     singular: bool = False
 
 
+@dataclass(frozen=True)
+class ProbeColumns:
+    """A solved tau grid as columns, one entry per cell.
+
+    Singular cells are invalid; those inside the detection band have nan
+    theta, rho and residuals.  The shorthands are float64 arrays.
+    """
+
+    tau: np.ndarray
+    theta: np.ndarray
+    rho: np.ndarray
+    shorthands: DeltaShorthands
+    residual_benefits: np.ndarray
+    residual_welfare: np.ndarray
+    valid: np.ndarray
+    singular: np.ndarray
+
+
 def tax_rate_from_benefits(n: float, s: float, theta: float, rho: float) -> float:
     """Rate leaving the employed exactly their aggregate marginal gain."""
     if not (1 <= s <= n - 1):
@@ -132,26 +166,44 @@ def tax_rate_from_welfare(
     return delta + (s * (theta + rho - 1.0) - n * (theta - 1.0)) / den
 
 
-def _residuals_extended(n, s, theta, rho, delta, tau) -> tuple[float, float]:
-    # The identities cancel terms of order n^2 * theta down to order rho + n,
-    # so they are re-evaluated in extended precision at the stored
-    # double-precision solution; plain doubles would inflate the residuals
-    # by the cancellation ratio.
+def _solve_cells(n, omega, delta, taus: np.ndarray) -> tuple[ProbeColumns, np.ndarray]:
+    """Solve every cell of a float64 tau vector at one (n, omega, delta).
+
+    Returns the columns, with only the band cells marked singular, and the
+    float64 denominators n*d + d3.  The band test uses the float64
+    shorthands; theta and rho come from the longdouble shorthands and are
+    rounded to float64.  The two identities cancel terms of order
+    n^2 * theta down to order rho + n, so their residuals are re-evaluated in
+    longdouble at the rounded solution; plain doubles would inflate them by
+    the cancellation ratio.  Every operation runs with numpy's floating-point
+    warnings off: overflow to inf or nan is part of the result, as in Python
+    float arithmetic.
+    """
+    nf, w_f, e_f = float(n), float(omega), float(delta)
     ld = np.longdouble
-    n_, s_, th, rh = ld(n), ld(s), ld(theta), ld(rho)
-    d_, t_ = ld(delta), ld(tau)
-    scale = max(1.0, abs(float(tau)))
-    den8 = rh + n_ - s_ - 1.0
-    if den8 == 0:
-        r8 = math.inf
-    else:
-        r8 = float(abs(1.0 - (s_ * (th + rh - 1.0) - n_ * th) / den8 - t_)) / scale
-    den9 = th + s_ - 1.0
-    if den9 == 0:
-        r9 = math.inf
-    else:
-        r9 = float(abs(d_ + (s_ * (th + rh - 1.0) - n_ * (th - 1.0)) / den9 - t_)) / scale
-    return r8, r9
+    n_, w, e = ld(n), ld(omega), ld(delta)
+    with np.errstate(all="ignore"):
+        sh = DeltaShorthands(*_shorthand_values(w_f, taus, e_f))
+        den = nf * sh.d + sh.d3
+        band = np.abs(den) < 1e-12 * nf
+        t = taus.astype(ld)
+        d, d1, d2, d3, d4 = _solver_values(w, t, e)
+        den_ = n_ * d + d3
+        theta = ((n_ * n_ * w * d1 + n_ * d2 + d3) / den_).astype(float)
+        rho = ((n_ * n_ * (1.0 - w) * d1 + n_ * d4 + d3) / den_).astype(float)
+        s_, th, rh = n_ * w, theta.astype(ld), rho.astype(ld)
+        scale = np.maximum(1.0, np.abs(taus))
+        hired = s_ * (th + rh - 1.0)
+        den8 = rh + n_ - s_ - 1.0
+        r8 = np.abs(1.0 - (hired - n_ * th) / den8 - t).astype(float) / scale
+        den9 = th + s_ - 1.0
+        r9 = np.abs(e + (hired - n_ * (th - 1.0)) / den9 - t).astype(float) / scale
+        r8[den8 == 0] = math.inf
+        r9[den9 == 0] = math.inf
+        valid = (theta > 0.0) & (rho > 0.0) & (0.0 <= taus) & (taus <= 1.0) & ~band
+    for x in (theta, rho, r8, r9):
+        x[band] = math.nan
+    return ProbeColumns(taus, theta, rho, sh, r8, r9, valid, singular=band), den
 
 
 def solve_theta_rho(n: float, omega: float, delta: float, tau: float) -> TaxSolution:
@@ -162,33 +214,20 @@ def solve_theta_rho(n: float, omega: float, delta: float, tau: float) -> TaxSolu
     |n*d + d3| < 1e-12 * n around the line tau = 1 - omega + delta*omega.
     """
     inputs = PolicyInputs(n=float(n), omega=float(omega), delta=float(delta), tau=float(tau))
-    sh = delta_shorthands(omega, tau, delta)
-    if abs(n * sh.d + sh.d3) < 1e-12 * n:
+    cols, den = _solve_cells(n, omega, delta, np.array([inputs.tau]))
+    if cols.singular[0]:
         raise SingularSystemError(
             f"system degenerates near tau = 1 - omega + delta*omega "
-            f"(n*d + d3 = {n * sh.d + sh.d3:.3e})"
+            f"(n*d + d3 = {float(den[0]):.3e})"
         )
-    ld = np.longdouble
-    n_, w, t, e = ld(n), ld(omega), ld(tau), ld(delta)
-    d = w + t - e * w - 1.0
-    d1 = e * w - w - t + 2.0
-    d2 = e * w * t - 2.0 * e * w - w * t * t + 2.0 * w * t + t - 1.0
-    d3 = e - t - e * t + t * t
-    d4 = (-e * w * t + e * w + e * t - 2.0 * e + w * t * t - 2.0 * w * t + w
-          - t * t + 3.0 * t - 1.0)
-    den = n_ * d + d3
-    theta = float((n_ * n_ * w * d1 + n_ * d2 + d3) / den)
-    rho = float((n_ * n_ * (1.0 - w) * d1 + n_ * d4 + d3) / den)
-    r8, r9 = _residuals_extended(n, n_ * w, theta, rho, delta, tau)
-    valid = theta > 0.0 and rho > 0.0 and 0.0 <= tau <= 1.0
     return TaxSolution(
-        theta=theta,
-        rho=rho,
+        theta=float(cols.theta[0]),
+        rho=float(cols.rho[0]),
         inputs=inputs,
-        shorthands=sh,
-        residual_benefits=r8,
-        residual_welfare=r9,
-        valid=valid,
+        shorthands=DeltaShorthands(*(float(x[0]) for x in astuple(cols.shorthands))),
+        residual_benefits=float(cols.residual_benefits[0]),
+        residual_welfare=float(cols.residual_welfare[0]),
+        valid=bool(cols.valid[0]),
     )
 
 
@@ -220,56 +259,52 @@ def corrected_tax_rule(
     return asymptotic_tax_rule(omega, delta) + scale * c / n
 
 
-def feasible_set_probe(
-    n: float, omega: float, delta: float, tau_grid
-) -> list[TaxSolution]:
+def probe_columns(n: float, omega: float, delta: float, tau_grid) -> ProbeColumns:
     """Solve along a grid of tax rates, marking singular cells instead of
     dropping them.
 
     A cell is singular when its denominator n*d + d3 sits inside the
     detection band, or when the denominator changes sign between it and a
     neighbour (the root then lies inside the grid step; the closer endpoint
-    gets the mark).
+    gets the mark).  Inputs are checked cell by cell as ``PolicyInputs``
+    does, so the first bad cell raises.
     """
-    taus = [float(t) for t in tau_grid]
-    dens = []
-    for tau in taus:
-        sh = delta_shorthands(omega, tau, delta)
-        dens.append(n * sh.d + sh.d3)
-    singular = [abs(den) < 1e-12 * n for den in dens]
-    for k in range(len(taus) - 1):
-        if dens[k] * dens[k + 1] < 0.0:
-            mark = k if abs(dens[k]) <= abs(dens[k + 1]) else k + 1
-            singular[mark] = True
-    out = []
-    for tau, flag in zip(taus, singular):
-        try:
-            sol = solve_theta_rho(n, omega, delta, tau)
-            if flag:
-                sol = TaxSolution(
-                    theta=sol.theta,
-                    rho=sol.rho,
-                    inputs=sol.inputs,
-                    shorthands=sol.shorthands,
-                    residual_benefits=sol.residual_benefits,
-                    residual_welfare=sol.residual_welfare,
-                    valid=False,
-                    singular=True,
-                )
-        except SingularSystemError:
-            inputs = PolicyInputs(n=float(n), omega=float(omega), delta=float(delta), tau=tau)
-            sol = TaxSolution(
-                theta=math.nan,
-                rho=math.nan,
-                inputs=inputs,
-                shorthands=delta_shorthands(omega, tau, delta),
-                residual_benefits=math.nan,
-                residual_welfare=math.nan,
-                valid=False,
-                singular=True,
-            )
-        out.append(sol)
-    return out
+    taus = np.array(tau_grid, dtype=float).reshape(-1)
+    # A bad n, omega or delta fails at the first cell, a bad tau at its own.
+    for tau in taus[:1].tolist() + taus[~np.isfinite(taus)][:1].tolist():
+        PolicyInputs(n=float(n), omega=float(omega), delta=float(delta), tau=tau)
+    cols, den = _solve_cells(n, omega, delta, taus)
+    with np.errstate(all="ignore"):
+        k = np.flatnonzero(den[:-1] * den[1:] < 0.0)
+    # The arrays are this call's own, so the marks go in place.
+    cols.singular[np.where(np.abs(den[k]) <= np.abs(den[k + 1]), k, k + 1)] = True
+    cols.valid[cols.singular] = False
+    return cols
+
+
+def feasible_set_probe(
+    n: float, omega: float, delta: float, tau_grid
+) -> list[TaxSolution]:
+    """``probe_columns`` as one TaxSolution per cell."""
+    cols = probe_columns(n, omega, delta, tau_grid)
+    sh = zip(*(x.tolist() for x in astuple(cols.shorthands)))
+    return [
+        TaxSolution(
+            theta=theta,
+            rho=rho,
+            inputs=PolicyInputs(n=float(n), omega=float(omega), delta=float(delta), tau=tau),
+            shorthands=DeltaShorthands(*values),
+            residual_benefits=r8,
+            residual_welfare=r9,
+            valid=valid,
+            singular=singular,
+        )
+        for tau, theta, rho, values, r8, r9, valid, singular in zip(
+            cols.tau.tolist(), cols.theta.tolist(), cols.rho.tolist(), sh,
+            cols.residual_benefits.tolist(), cols.residual_welfare.tolist(),
+            cols.valid.tolist(), cols.singular.tolist(),
+        )
+    ]
 
 
 def employment_count(n: int, omega: float) -> int:

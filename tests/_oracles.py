@@ -123,3 +123,104 @@ def mp_lower_semivariance(a: float, b: float):
         z_lo = max(-mu / sd, mpmath.mpf(-60))
         knots = [z_lo] + [z for z in (-30, -15, -8, -4, -2, -1) if z > z_lo] + [0]
         return +(sd * sd * mpmath.quad(integrand, knots))
+
+
+# --- the balanced-budget sweep, one scalar cell at a time ---------------------
+#
+# The per-cell solve as the library did it before the array solver: Python
+# float shorthands for the band test and the sign-change marks, longdouble
+# shorthands for theta and rho, longdouble residuals at the rounded solution,
+# and the CSV rule with its explicit nan/inf branches.
+
+SWEEP_HEADER = (
+    "omega,tau,delta,n,theta,rho,d,valid,residual_benefits,residual_welfare,singular"
+)
+
+
+def _scalar_den(n, omega, delta, tau) -> tuple[float, float]:
+    """d and n*d + d3 in Python floats."""
+    w, t, e = float(omega), float(tau), float(delta)
+    d = w + t - e * w - 1.0
+    d3 = e - t - e * t + t * t
+    return d, n * d + d3
+
+
+def _scalar_solve(n, omega, delta, tau):
+    """(theta, rho, residual_benefits, residual_welfare, valid) of one cell."""
+    ld = np.longdouble
+    n_, w, t, e = ld(n), ld(omega), ld(tau), ld(delta)
+    d = w + t - e * w - 1.0
+    d1 = e * w - w - t + 2.0
+    d2 = e * w * t - 2.0 * e * w - w * t * t + 2.0 * w * t + t - 1.0
+    d3 = e - t - e * t + t * t
+    d4 = (-e * w * t + e * w + e * t - 2.0 * e + w * t * t - 2.0 * w * t + w
+          - t * t + 3.0 * t - 1.0)
+    den = n_ * d + d3
+    theta = float((n_ * n_ * w * d1 + n_ * d2 + d3) / den)
+    rho = float((n_ * n_ * (1.0 - w) * d1 + n_ * d4 + d3) / den)
+    s_, th, rh = n_ * w, ld(theta), ld(rho)
+    scale = max(1.0, abs(float(tau)))
+    den8 = rh + n_ - s_ - 1.0
+    if den8 == 0:
+        r8 = math.inf
+    else:
+        r8 = float(abs(1.0 - (s_ * (th + rh - 1.0) - n_ * th) / den8 - t)) / scale
+    den9 = th + s_ - 1.0
+    if den9 == 0:
+        r9 = math.inf
+    else:
+        r9 = float(abs(e + (s_ * (th + rh - 1.0) - n_ * (th - 1.0)) / den9 - t)) / scale
+    valid = theta > 0.0 and rho > 0.0 and 0.0 <= tau <= 1.0
+    return theta, rho, r8, r9, valid
+
+
+def scalar_probe_row(n, omega, delta, taus) -> list[list]:
+    """The sweep's fields for every cell of one omega row."""
+    taus = [float(t) for t in taus]
+    dens = [_scalar_den(n, omega, delta, t)[1] for t in taus]
+    singular = [abs(den) < 1e-12 * n for den in dens]
+    for k in range(len(taus) - 1):
+        if dens[k] * dens[k + 1] < 0.0:
+            singular[k if abs(dens[k]) <= abs(dens[k + 1]) else k + 1] = True
+    rows = []
+    for tau, den, flag in zip(taus, dens, singular):
+        d = _scalar_den(n, omega, delta, tau)[0]
+        if abs(den) < 1e-12 * n:
+            theta = rho = r8 = r9 = math.nan
+            valid = False
+        else:
+            theta, rho, r8, r9, valid = _scalar_solve(n, omega, delta, tau)
+        rows.append([
+            float(omega), tau, float(delta), float(n), theta, rho, d,
+            valid and not flag, r8, r9, flag,
+        ])
+    return rows
+
+
+def _scalar_fmt(x) -> str:
+    x = float(x)
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return format(x, ".17g")
+
+
+def scalar_csv_line(fields) -> str:
+    parts = []
+    for f in fields:
+        if isinstance(f, bool):
+            parts.append("true" if f else "false")
+        elif isinstance(f, float):
+            parts.append(_scalar_fmt(f))
+        else:
+            parts.append(str(f))
+    return ",".join(parts)
+
+
+def scalar_sweep(n, delta, omegas, taus) -> str:
+    """The sweep's CSV text over the given omega and tau grids."""
+    lines = [SWEEP_HEADER]
+    for omega in omegas:
+        lines += [scalar_csv_line(r) for r in scalar_probe_row(n, omega, delta, taus)]
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -496,6 +497,26 @@ def test_overflowing_game_is_one_error_line(argv):
     assert proc.stdout == ""
     (line,) = proc.stderr.splitlines()
     assert line.startswith("error: ")
+
+
+def test_monte_carlo_of_huge_finite_values():
+    # Squares of values near the float limit overflow unless the sampler
+    # scales them; the exact method already prints finite values here.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(dichotomy.__file__).resolve().parents[1]),
+        PYTHONWARNINGS="error",
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "dichotomy", "dvalue", "--game", "additive:8e307,8e307",
+         *_SHAPE, "--method", "mc", "--samples", "100"],
+        env=env, capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    numbers = [report["expected_production"], *report["gamma"], *report["lambda"],
+               *report["std_error"]["gamma"], *report["std_error"]["lambda"]]
+    assert all(math.isfinite(x) for x in numbers)
 
 
 # Value pools for the argv fuzz: small, so every run stays cheap.

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,33 @@ class TestMonteCarlo:
     def test_sample_validation(self):
         with pytest.raises(DomainError):
             mc_valuation(CoalitionModel(2, 1, 1), DenseTableGame(2, [0, 1, 1, 2]), 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda c: AdditiveGame(np.array([1.5, 0.25, 3.0, 2.0, 0.75]) * c),
+            lambda c: SizeSymmetricGame(5, np.array([0.0, 1.0, 3.5, 4.0, 7.25, 8.0]) * c),
+            lambda c: DenseTableGame(5, random_dense_game(5, np.random.default_rng(6)).table * c),
+        ],
+        ids=["additive", "size-table", "dense"],
+    )
+    def test_huge_values_are_scaled_exactly(self, make):
+        # Values near the float limit are scaled by a power of two inside the
+        # sampler, so every result is the small game's times that power.
+        big = 2.0**1000
+        model = CoalitionModel(5, 2.0, 3.0)
+        small = mc_valuation(model, make(1.0), 3000, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = mc_valuation(model, make(big), 3000, seed=5)
+        for a, b in [
+            (small.gain, huge.gain), (small.loss, huge.loss),
+            (small.gain_se, huge.gain_se), (small.loss_se, huge.loss_se),
+        ]:
+            assert np.all(np.isfinite(b))
+            assert (a * big).tobytes() == b.tobytes()
+        assert huge.expected_production == small.expected_production * big
+        assert huge.expected_production_se == small.expected_production_se * big
 
 
 class TestOrdering:

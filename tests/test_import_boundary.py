@@ -1,8 +1,9 @@
-"""The core modules load without scipy, and the CLI without scipy.integrate.
+"""The package and its CLI load without scipy.
 
-Importing scipy costs tens of megabytes and a third of a second, so it is kept
-to ``posterior``, the one module that needs an incomplete beta.  Each check
-runs in a fresh interpreter, since this test process has scipy loaded already.
+Importing scipy costs tens of megabytes and a third of a second, so only the
+two ``posterior`` functions that need an incomplete beta import
+``scipy.special``, when they run.  Each check runs in a fresh interpreter,
+since this test process has scipy loaded already.
 """
 
 import os
@@ -34,3 +35,25 @@ def test_core_modules_load_no_scipy():
 def test_cli_loads_no_scipy_integrate():
     loaded = _loaded_after("import dichotomy.cli")
     assert "scipy.integrate" not in loaded
+
+
+def test_cli_and_posterior_load_no_scipy():
+    loaded = _loaded_after("import dichotomy.cli, dichotomy.posterior")
+    assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
+
+
+def test_semivariances_import_scipy_when_called():
+    from dichotomy.posterior import semivariances
+
+    code = (
+        "import sys\n"
+        "import dichotomy.cli\n"
+        "from dichotomy.posterior import semivariances\n"
+        "assert 'scipy' not in sys.modules\n"
+        "print(repr(semivariances(3.5, 7.25)))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == repr(semivariances(3.5, 7.25))

@@ -251,3 +251,10 @@ def test_flip_matches_fresh_evaluation(name):
     got = game.flipped_values(members)
     assert got.shape == (len(members), n)
     assert got.tobytes() == _fresh_flips(game, members).tobytes()
+
+
+@pytest.mark.parametrize("name", _FLIP_GAMES)
+def test_value_bound_covers_every_coalition(name):
+    game = _FLIP_GAMES[name]
+    values = np.abs(game.dense_values())
+    assert values.max() <= game.value_bound()

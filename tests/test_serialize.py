@@ -3,10 +3,11 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from dichotomy.errors import DomainError
-from dichotomy.serialize import csv_line, json_dumps
+from dichotomy.serialize import csv_line, csv_lines, fmt_float, json_dumps
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -40,3 +41,28 @@ def test_csv_strings_survive_a_reader(label):
 
 def test_csv_leaves_plain_fields_unquoted():
     assert csv_line(["p1", 0.1, False, 7]) == "p1,0.10000000000000001,false,7"
+
+
+@pytest.mark.parametrize(
+    "x, text",
+    [
+        (math.nan, "nan"), (-math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+        (-0.0, "-0"), (0.0, "0"), (5e-324, "4.9406564584124654e-324"),
+        (2.2250738585072014e-308 / 3, "7.4169128616906696e-309"),
+        (1.7976931348623157e308, "1.7976931348623157e+308"), (0.1, "0.10000000000000001"),
+        (np.float64(-2.5), "-2.5"), (np.longdouble(0.1), "0.10000000000000001"), (3, "3"),
+    ],
+)
+def test_float_text(x, text):
+    assert fmt_float(x) == text
+
+
+def test_columns_follow_the_line_rule():
+    floats = np.array([0.1, -0.0, math.nan, -math.inf, 5e-324])
+    flags = np.array([True, False, True, False, False])
+    labels = np.array(["p1", "a,b", 'say "hi"', "x", ""], dtype=object)
+    counts = np.arange(5)
+    columns = [0.25, floats, flags, labels, "same", counts, False]
+    rows = [[0.25, *fields, "same", int(k), False] for k, fields in
+            zip(counts, zip(floats.tolist(), flags.tolist(), labels.tolist()))]
+    assert csv_lines(columns) == [csv_line(r) for r in rows]
