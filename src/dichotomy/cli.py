@@ -86,13 +86,6 @@ _SWEEP_HEADER = (
 )
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("DICHOTOMY_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _write_out(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
@@ -306,44 +299,41 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _power_json(model: CoalitionModel, report) -> dict:
+def _cmd_voting(args) -> int:
+    game = parse_game_spec(args.game)
+    model = CoalitionModel(game.n, args.theta, args.rho)
+    report = voting_power(
+        model, game, method=args.method, samples=args.samples,
+        seed=args.seed, streams=args.streams, max_workers=args.threads,
+    )
     out = {
         "n": model.n,
         "theta": model.theta,
         "rho": model.rho,
         "method": report.method,
         "power": list(map(float, report.power)),
+        "valuation": report.valuation.to_json_dict(),
     }
-    out["valuation"] = report.valuation.to_json_dict()
-    return out
+    _write_out(json_dumps(out) + "\n", args.out)
+    return EXIT_OK
 
 
-def _cmd_apps(args) -> int:
-    if args.app == "voting":
-        game = parse_game_spec(args.game)
-        model = CoalitionModel(game.n, args.theta, args.rho)
-        report = voting_power(
-            model, game, method=args.method, samples=args.samples,
-            seed=args.seed, streams=args.streams, max_workers=args.threads,
-        )
-        _write_out(json_dumps(_power_json(model, report)) + "\n", args.out)
-        return EXIT_OK
+def _cmd_insurance(args) -> int:
+    game = parse_game_spec(args.game)
+    model = CoalitionModel(game.n, args.theta, args.rho)
+    quote = insurance_premium(model, game, args.surcharge)
+    out = {
+        "n": quote.n,
+        "surcharge": quote.surcharge,
+        "expected_cost": quote.expected_cost,
+        "total_billed": quote.total_billed,
+        "premium_per_policyholder": quote.premium_per_policyholder,
+    }
+    _write_out(json_dumps(out) + "\n", args.out)
+    return EXIT_OK
 
-    if args.app == "insurance":
-        game = parse_game_spec(args.game)
-        model = CoalitionModel(game.n, args.theta, args.rho)
-        quote = insurance_premium(model, game, args.surcharge)
-        out = {
-            "n": quote.n,
-            "surcharge": quote.surcharge,
-            "expected_cost": quote.expected_cost,
-            "total_billed": quote.total_billed,
-            "premium_per_policyholder": quote.premium_per_policyholder,
-        }
-        _write_out(json_dumps(out) + "\n", args.out)
-        return EXIT_OK
 
-    # toll
+def _cmd_toll(args) -> int:
     if args.scenario:
         scenario = load_toll_scenario(args.scenario)
     elif args.g is None or args.n is None or args.omega is None:
@@ -385,34 +375,40 @@ def build_parser() -> argparse.ArgumentParser:
         description="Valuation under a random bipartition and the balanced-budget tax rule.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves: list[argparse.ArgumentParser] = []
 
-    p = sub.add_parser("tax-rate", help="asymptotic and finite-market tax rates")
+    def leaf(subparsers, name, func, **kwargs) -> argparse.ArgumentParser:
+        p = subparsers.add_parser(name, **kwargs)
+        p.set_defaults(func=func)
+        leaves.append(p)
+        return p
+
+    # Flag groups shared by several leaves, declared once.
+    game = argparse.ArgumentParser(add_help=False)
+    game.add_argument("--game", required=True, help="family spec or JSON file")
+    game.add_argument("--theta", type=float, required=True)
+    game.add_argument("--rho", type=float, required=True)
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--method", choices=("exact", "mc"), default="exact")
+    sampling.add_argument("--samples", type=int, default=1_000_000)
+    sampling.add_argument("--seed", type=int, default=0)
+    sampling.add_argument("--streams", type=int, default=8)
+    sampling.add_argument("--threads", type=int, default=1)
+
+    p = leaf(sub, "tax-rate", _cmd_tax_rate, help="asymptotic and finite-market tax rates")
     p.add_argument("--omega", type=float, required=True, help="employment rate in (0,1)")
     p.add_argument("--delta", type=float, required=True, help="reserve ratio in (-1,1)")
     p.add_argument("--n", type=float, default=None, help="labor-force size")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_tax_rate)
 
-    p = sub.add_parser("series", help="apply the rule to a rate series CSV")
+    p = leaf(sub, "series", _cmd_series, help="apply the rule to a rate series CSV")
     p.add_argument("input", help="CSV with header period,omega[,delta]")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=float, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_series)
 
-    p = sub.add_parser("dvalue", help="per-player valuation of a game")
-    p.add_argument("--game", required=True, help="family spec or JSON file")
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--method", choices=("exact", "mc"), default="exact")
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--streams", type=int, default=8)
-    p.add_argument("--threads", type=int, default=_default_threads())
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_dvalue)
+    leaf(sub, "dvalue", _cmd_dvalue, help="per-player valuation of a game",
+         parents=[game, sampling])
 
-    p = sub.add_parser("sweep", help="feasible-set probe over an (omega, tau) grid")
+    p = leaf(sub, "sweep", _cmd_sweep, help="feasible-set probe over an (omega, tau) grid")
     p.add_argument("--n", type=float, default=10000.0)
     p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--omega-range", default="0.05:0.95")
@@ -421,49 +417,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="LO:HI; write --tau-range=LO:HI when LO is negative",
     )
     p.add_argument("--resolution", type=int, default=41, help="grid points per axis")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("verify", help="run a numbered limit check (2-6)")
+    p = leaf(sub, "verify", _cmd_verify, help="run a numbered limit check (2-6)")
     p.add_argument("--theorem", type=int, choices=sorted(LIMIT_CHECKS), required=True)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)
     p.add_argument("--n-list", default="1000,10000,100000,1000000")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("apps", help="voting power, insurance premium, highway toll")
     apps_sub = p.add_subparsers(dest="app", required=True)
+    leaf(apps_sub, "voting", _cmd_voting, parents=[game, sampling])
+    p = leaf(apps_sub, "insurance", _cmd_insurance, parents=[game])
+    p.add_argument("--surcharge", type=float, required=True)
+    p = leaf(apps_sub, "toll", _cmd_toll)
+    p.add_argument("--scenario", default=None, help="JSON scenario file")
+    p.add_argument("--g", default=None, help="power:EXP[:COEF] or linear:SLOPE")
+    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--omega", type=float, default=None)
 
-    pv = apps_sub.add_parser("voting")
-    pv.add_argument("--game", required=True)
-    pv.add_argument("--theta", type=float, required=True)
-    pv.add_argument("--rho", type=float, required=True)
-    pv.add_argument("--method", choices=("exact", "mc"), default="exact")
-    pv.add_argument("--samples", type=int, default=1_000_000)
-    pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--streams", type=int, default=8)
-    pv.add_argument("--threads", type=int, default=_default_threads())
-    pv.add_argument("--out", default=None)
-    pv.set_defaults(func=_cmd_apps)
-
-    pi = apps_sub.add_parser("insurance")
-    pi.add_argument("--game", required=True)
-    pi.add_argument("--theta", type=float, required=True)
-    pi.add_argument("--rho", type=float, required=True)
-    pi.add_argument("--surcharge", type=float, required=True)
-    pi.add_argument("--out", default=None)
-    pi.set_defaults(func=_cmd_apps)
-
-    pt = apps_sub.add_parser("toll")
-    pt.add_argument("--scenario", default=None, help="JSON scenario file")
-    pt.add_argument("--g", default=None, help="power:EXP[:COEF] or linear:SLOPE")
-    pt.add_argument("--n", type=int, default=None)
-    pt.add_argument("--omega", type=float, default=None)
-    pt.add_argument("--out", default=None)
-    pt.set_defaults(func=_cmd_apps)
-
+    for p in leaves:
+        p.add_argument("--out", default=None)
     return parser
 
 

@@ -83,15 +83,15 @@ def _check_model_game(model: CoalitionModel, game: Game) -> None:
         raise DomainError(f"model has {model.n} players, game has {game.n}")
 
 
-def _weighted_size_totals(model: CoalitionModel, game: Game) -> np.ndarray:
-    """P(S = T) times the sum of v(T) over coalitions of each size t.
+def _weighted_size_totals(game: Game, lw: np.ndarray) -> np.ndarray:
+    """P(S = T) times the sum of v(T) over coalitions of each size t, from
+    the log size weights ``lw`` of ``log_size_weights``.
 
     The coalition-count multiplicity is combined with the log-weights before
     exponentiating, so the entries stay bounded by the size distribution
     times the value scale at any n.
     """
     n = game.n
-    lw = log_size_weights(model)
     if game.size_only:
         u = game.value_by_size()
         return np.exp([log_binom(n, t) + lw[t] for t in range(n + 1)]) * u
@@ -119,7 +119,7 @@ def _grand_value(game: Game) -> float:
 def expected_production(model: CoalitionModel, game: Game) -> float:
     """Mean of v(S) under the coalition model."""
     _check_model_game(model, game)
-    return float(_weighted_size_totals(model, game).sum())
+    return float(_weighted_size_totals(game, log_size_weights(model)).sum())
 
 
 def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndarray, float]:
@@ -158,10 +158,9 @@ def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndar
     return gain, loss, float(total_wv)
 
 
-def _exact_size_symmetric(model: CoalitionModel, game: Game):
-    n = model.n
+def _exact_size_symmetric(game: Game, lw: np.ndarray):
+    n = game.n
     u = game.value_by_size()
-    lw = log_size_weights(model)
     gain_terms = [
         math.exp(log_binom(n - 1, t - 1) + lw[t]) * (u[t] - u[t - 1])
         for t in range(1, n + 1)
@@ -182,8 +181,9 @@ def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
     """
     _check_model_game(model, game)
     if game.size_only:
-        gain, loss = _exact_size_symmetric(model, game)
-        production = expected_production(model, game)
+        lw = log_size_weights(model)
+        gain, loss = _exact_size_symmetric(game, lw)
+        production = float(_weighted_size_totals(game, lw).sum())
     elif isinstance(game, AdditiveGame):
         share = model.prior_mean
         gain = game.player_values * share
@@ -206,8 +206,9 @@ def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
 def _aggregate_closed_form(model: CoalitionModel, game: Game, which: str) -> float:
     _check_model_game(model, game)
     n, th, rh = model.n, model.theta, model.rho
-    weighted = _weighted_size_totals(model, game)
-    grand_w = math.exp(log_size_weights(model)[n])
+    lw = log_size_weights(model)
+    weighted = _weighted_size_totals(game, lw)
+    grand_w = math.exp(lw[n])
     t = np.arange(n + 1, dtype=float)
     if which == "gain":
         denom = rh + n - t - 1.0
@@ -217,10 +218,9 @@ def _aggregate_closed_form(model: CoalitionModel, game: Game, which: str) -> flo
             )
         coef = np.zeros(n + 1)
         coef[:n] = (t[:n] * (th + rh - 1.0) - n * th) / denom[:n]
-        # All coalitions except the grand one, plus its dedicated term.
-        partial = weighted.copy()
-        partial[n] -= grand_w * _grand_value(game)
-        return float((coef * partial).sum() + n * grand_w * _grand_value(game))
+        # All coalitions except the grand one (coef[n] is 0), plus its
+        # dedicated term.
+        return float((coef * weighted).sum() + n * grand_w * _grand_value(game))
     denom = th + t - 1.0
     if np.any(np.abs(denom[1:]) < 1e-12):
         raise SingularSystemError("coefficient denominator theta + t - 1 vanishes")
@@ -257,7 +257,13 @@ def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float)
         members = sample_memberships(model, rng, min(rows, count - done))
         v_s = _scaled(game.values_for_memberships(members), scale)
         # v(T) - v(T xor {i}): the gain of a member, minus the loss of an outsider.
-        diff = v_s[:, None] - _scaled(game.flipped_values(members), scale)
+        if isinstance(game, AdditiveGame):
+            # Exactly +w_i or -w_i; a difference of two sums would lose a
+            # small w_i beside a large one.
+            w = _scaled(game.player_values, scale)
+            diff = np.where(members, w, -w)
+        else:
+            diff = v_s[:, None] - _scaled(game.flipped_values(members), scale)
         gain = diff * members
         for sums, x in zip(per_player, (gain, gain - diff)):
             # Column sums of x and x^2; einsum needs no x * x temporary.

@@ -150,6 +150,21 @@ class TestDvalue:
         _, out2, _ = run_cli(base + ["--threads", "4"], capsys)
         assert out1 == out2
 
+    def test_additive_monte_carlo_keeps_a_small_player(self, capsys):
+        # Player 2's marginal is 3 beside a value of 1e17: a difference of two
+        # sums would absorb it, the exact marginal +-w_i does not.
+        base = ["dvalue", "--game", "additive:1e17,3", "--theta", "2", "--rho", "3"]
+        _, out, _ = run_cli(base, capsys)
+        exact = json.loads(out)
+        code, out, _ = run_cli(
+            base + ["--method", "mc", "--samples", "20000", "--seed", "4"], capsys
+        )
+        assert code == 0
+        mc = json.loads(out)
+        for key in ("gamma", "lambda"):
+            for est, se, ref in zip(mc[key], mc["std_error"][key], exact[key]):
+                assert abs(est - ref) <= 5 * se
+
     def test_exact_beyond_cap_is_capacity_error(self, capsys):
         weights = ",".join(["1"] * 30)
         code, _, err = run_cli(

@@ -101,3 +101,18 @@ def test_bracketed_root_is_marked_once(capsys):
     rows = [r.split(",") for r in out.splitlines()[1:]]
     assert [r[10] for r in rows].count("true") == 1
     assert all(r[4] != "nan" for r in rows)  # the mark is a sign change, not the band
+
+
+@pytest.mark.parametrize("n, delta", [(1e4, 0.1), (50.0, 0.3), (1e6, -0.2), (3.0, 0.0)])
+def test_valid_cells_are_on_the_positive_side(n, delta, capsys):
+    # Off the singular marks and for tau in [0, 1], a cell is valid exactly
+    # when d = omega + tau - delta*omega - 1 and theta are both positive.
+    code, out, _ = _run(
+        ["sweep", "--n", repr(n), f"--delta={delta!r}", "--resolution", "41"], capsys
+    )
+    rows = [r.split(",") for r in out.splitlines()[1:]]
+    assert code == 0 and len(rows) == 41 * 41
+    checked = [r for r in rows if r[10] == "false" and 0.0 <= float(r[1]) <= 1.0]
+    assert checked
+    for r in checked:
+        assert (r[7] == "true") == (float(r[6]) > 0 and float(r[4]) > 0), r
