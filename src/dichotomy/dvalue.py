@@ -18,7 +18,7 @@ import numpy as np
 from .coalition import CoalitionModel, log_size_weights, sample_memberships, spawn_streams
 from .errors import CapacityError, DomainError, InvariantViolation, SingularSystemError
 from .numerics import log_beta, log_binom
-from .production import AdditiveGame, ENUMERATION_CAP, Game, uniformly_outperforms
+from .production import AdditiveGame, ENUMERATION_CAP, Game, _popcounts, uniformly_outperforms
 
 __all__ = [
     "Valuation",
@@ -103,7 +103,7 @@ def _weighted_size_totals(game: Game, lw: np.ndarray) -> np.ndarray:
             out[t] = math.exp(log_binom(n - 1, t - 1) + lw[t]) * total
         return out
     table = game.dense_values()
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    sizes = _popcounts(n)
     w = np.exp(lw)
     return np.bincount(sizes, weights=w[sizes] * table, minlength=n + 1)
 
@@ -129,8 +129,7 @@ def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndar
             f"exact valuation by enumeration limited to n <= {ENUMERATION_CAP}"
         )
     table = game.dense_values()
-    masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.bitwise_count(masks)
+    sizes = _popcounts(n)
     lb0 = log_beta(th, rh)
     lw = log_size_weights(model)
     w = np.exp(lw)
@@ -141,20 +140,21 @@ def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndar
     w_minus[1:] = np.exp(
         [log_beta(th + t - 1, rh + n - t + 1) - lb0 for t in range(1, n + 1)]
     )
-    wv = w[sizes] * table
-    wv_plus = w_plus[sizes] * table
-    wv_minus = w_minus[sizes] * table
-    total_wv = wv.sum()
-    total_plus = wv_plus.sum()
-    total_minus = wv_minus.sum()
-    gain = np.empty(n)
-    loss = np.empty(n)
-    for i in range(n):
-        inside = (masks >> i) & 1 == 1
-        s_wv = wv[inside].sum()
-        s_minus = wv_minus[inside].sum()
-        gain[i] = s_wv - (total_plus - wv_plus[inside].sum())
-        loss[i] = s_minus - (total_wv - s_wv)
+
+    def sums(by_size):
+        """The sum of by_size[|T|] v(T) over all T, and over the T holding
+        each player."""
+        wv = by_size[sizes] * table
+        # The masks holding player i + 1 in mask order: ravel copies them,
+        # so each is the same pairwise sum as over a masked gather.
+        inside = [wv.reshape(-1, 2, 1 << i)[:, 1].ravel().sum() for i in range(n)]
+        return wv.sum(), np.array(inside)
+
+    total_wv, s_wv = sums(w)
+    total_plus, s_plus = sums(w_plus)
+    s_minus = sums(w_minus)[1]
+    gain = s_wv - (total_plus - s_plus)
+    loss = s_minus - (total_wv - s_wv)
     return gain, loss, float(total_wv)
 
 

@@ -53,7 +53,7 @@ class Game:
         return members @ self._w
 
     def value(self, T: SubsetId) -> float:
-        """v(T), by the same code that enumeration and Monte Carlo use."""
+        """v(T), by the same code that Monte Carlo uses."""
         if T.n != self.n:
             raise DomainError(f"subset over {T.n} players, game has {self.n}")
         row = np.zeros((1, self.n), dtype=bool)
@@ -91,9 +91,36 @@ class Game:
                 f"n = {_ENUMERATION_WARN}",
                 stacklevel=2,
             )
+        if self.size_only:
+            return self._phi(_popcounts(self.n))
+        if _sums_are_exact(self._w):
+            # Any order of addition gives the same sums, so doubling matches
+            # the matrix product bit for bit without the (2^n, n) matrix.
+            return self._phi(_subset_sums(self._w))
         masks = np.arange(1 << self.n, dtype=np.int64)
         members = (masks[:, None] >> np.arange(self.n)[None, :]) & 1
         return self.values_for_memberships(members.astype(bool))
+
+
+def _subset_sums(w: np.ndarray) -> np.ndarray:
+    """Sum of w over every bitmask of len(w) bits (bit k weighs w[k]), in
+    w's dtype: the masks holding bit k are those below 2^k, plus w[k]."""
+    out = np.zeros(1 << len(w), dtype=w.dtype)
+    for k, wk in enumerate(w):
+        np.add(out[: 1 << k], wk, out=out[1 << k : 2 << k])
+    return out
+
+
+def _popcounts(n: int) -> np.ndarray:
+    """|T| for every bitmask T of n bits, as uint8."""
+    return _subset_sums(np.ones(n, np.uint8))
+
+
+def _sums_are_exact(w: np.ndarray) -> bool:
+    """Whether every subset sum of w is exact in floats: integer weights whose
+    absolute values sum below 2^53 (fsum rounds correctly, so a larger
+    total cannot pass)."""
+    return bool(np.all(w == np.trunc(w))) and math.fsum(np.abs(w)) < 2.0**53
 
 
 def _largest_magnitude(values: np.ndarray) -> float:
@@ -241,11 +268,13 @@ def _compare_pair(game: Game, i: int, j: int, op) -> bool:
     if isinstance(game, AdditiveGame):
         return bool(op(game.player_values[i - 1], game.player_values[j - 1]))
     table = game.dense_values()
-    masks = np.arange(1 << game.n, dtype=np.int64)
-    bi = 1 << (i - 1)
-    bj = 1 << (j - 1)
-    z = masks[masks & (bi | bj) == 0]
-    return bool(np.all(op(table[z | bi], table[z | bj])))
+    # Axes (high bits, bit hi, middle bits, bit lo, low bits) of the masks.
+    lo, hi = sorted((i - 1, j - 1))
+    t = table.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+    with_i, with_j = t[:, 0, :, 1], t[:, 1, :, 0]  # z + lo, z + hi
+    if lo != i - 1:
+        with_i, with_j = with_j, with_i
+    return bool(np.all(op(with_i, with_j)))
 
 
 def uniformly_outperforms(game: Game, i: int, j: int) -> bool:

@@ -224,3 +224,73 @@ def scalar_sweep(n, delta, omegas, taus) -> str:
     for omega in omegas:
         lines += [scalar_csv_line(r) for r in scalar_probe_row(n, omega, delta, taus)]
     return "\n".join(lines) + "\n"
+
+
+# --- enumeration through the (2^n, n) membership matrix -----------------------
+#
+# The table build and the exact valuation as the library did them before it
+# built tables by doubling: a bit matrix through ``values_for_memberships``,
+# and one boolean mask per player.  The size weights come from the library,
+# so results must agree byte for byte.
+
+def bit_matrix_values(game) -> np.ndarray:
+    """v over all 2^n bitmasks from the (2^n, n) membership matrix."""
+    masks = np.arange(1 << game.n, dtype=np.int64)
+    members = (masks[:, None] >> np.arange(game.n)[None, :]) & 1
+    return game.values_for_memberships(members.astype(bool))
+
+
+def masked_exact_dense(model, table):
+    """(gain, loss, expected production) summed over per-player masks."""
+    from dichotomy.coalition import log_size_weights
+    from dichotomy.numerics import log_beta
+
+    n, th, rh = model.n, model.theta, model.rho
+    masks = np.arange(1 << n, dtype=np.int64)
+    sizes = np.bitwise_count(masks)
+    lb0 = log_beta(th, rh)
+    w = np.exp(log_size_weights(model))
+    w_plus = np.zeros(n + 1)
+    w_plus[:n] = np.exp([log_beta(th + t + 1, rh + n - t - 1) - lb0 for t in range(n)])
+    w_minus = np.zeros(n + 1)
+    w_minus[1:] = np.exp(
+        [log_beta(th + t - 1, rh + n - t + 1) - lb0 for t in range(1, n + 1)]
+    )
+    wv = w[sizes] * table
+    wv_plus = w_plus[sizes] * table
+    wv_minus = w_minus[sizes] * table
+    total_wv = wv.sum()
+    total_plus = wv_plus.sum()
+    gain = np.empty(n)
+    loss = np.empty(n)
+    for i in range(n):
+        inside = (masks >> i) & 1 == 1
+        s_wv = wv[inside].sum()
+        gain[i] = s_wv - (total_plus - wv_plus[inside].sum())
+        loss[i] = wv_minus[inside].sum() - (total_wv - s_wv)
+    return gain, loss, float(total_wv)
+
+
+def masked_size_totals(model, table) -> np.ndarray:
+    """Sum of P(S = T) v(T) over the coalitions of each size."""
+    from dichotomy.coalition import log_size_weights
+
+    sizes = np.bitwise_count(np.arange(len(table), dtype=np.int64))
+    w = np.exp(log_size_weights(model))
+    return np.bincount(sizes, weights=w[sizes] * table, minlength=model.n + 1)
+
+
+def masked_outperforms(table, n, i, j, op) -> bool:
+    """op(v(Z + i), v(Z + j)) for every Z avoiding both players (1-based)."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    bi, bj = 1 << (i - 1), 1 << (j - 1)
+    z = masks[masks & (bi | bj) == 0]
+    return bool(np.all(op(table[z | bi], table[z | bj])))
+
+
+def masked_is_monotone(table, n) -> bool:
+    """Whether adding any player never lowers v."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    return not any(
+        np.any(table[masks | (1 << i)] < table[masks & ~(1 << i)]) for i in range(n)
+    )

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dichotomy
-from dichotomy import cli
+from dichotomy import cli, dvalue
 
 
 def run_cli(argv, capsys):
@@ -108,6 +109,25 @@ class TestSeries:
         assert [r[0] for r in rows[1:]] == ["a,b", 'say "hi"']
 
 
+# Runs a command with stdout and stderr in two files, then prints its exit
+# code and peak RSS in kB.  A small interpreter starts the command, because a
+# child starts from the high-water RSS of the process that forked it.
+_MEASURE = """
+import os, subprocess, sys
+out, err = (open(path, "wb") for path in sys.argv[1:3])
+proc = subprocess.Popen(sys.argv[3:], stdout=out, stderr=err)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _dense_values_call(fn) -> tuple[int, str]:
+    """Line number and text of fn's one call to dense_values."""
+    lines, start = inspect.getsourcelines(fn)
+    (k,) = [k for k, line in enumerate(lines) if "dense_values()" in line]
+    return start + k, lines[k].strip()
+
+
 class TestDvalue:
     def test_unanimity_pair(self, capsys):
         code, out, _ = run_cli(
@@ -173,6 +193,40 @@ class TestDvalue:
         )
         assert code == 5
         assert "enumeration" in err
+
+    def test_enumeration_at_n22_stays_within_budget(self, tmp_path):
+        # 22 integer weights: the table is built by doubling, with no
+        # (2^22, 22) membership matrix.
+        weights = [(3 * k) % 7 + 1 for k in range(22)]
+        game = "weighted:" + ",".join(map(str, weights)) + f":{sum(weights) // 2 + 1}"
+        env = dict(os.environ, PYTHONPATH=str(Path(dichotomy.__file__).resolve().parents[1]))
+        env.pop("PYTHONWARNINGS", None)
+        out, err = tmp_path / "out", tmp_path / "err"
+        proc = subprocess.run(
+            [sys.executable, "-c", _MEASURE, out, err,
+             sys.executable, "-m", "dichotomy", "dvalue", "--game", game, *_SHAPE],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, maxrss_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert maxrss_kb < 400 * 1024
+        assert len(json.loads(out.read_text())["gamma"]) == 22
+        # One warning per enumerating call site, in the order the command
+        # reaches them: the valuation, the size totals, the grand value.
+        lines = err.read_text().splitlines()
+        message = "UserWarning: enumerating 2^22 subsets; expect noticeable cost above n = 20"
+        expected = [
+            _dense_values_call(f)
+            for f in (dvalue._exact_dense, dvalue._weighted_size_totals, dvalue._grand_value)
+        ]
+        got = []
+        for where, source in zip(lines[::2], lines[1::2]):
+            path, lineno, text = where.split(":", 2)
+            assert Path(path).resolve() == Path(dvalue.__file__).resolve()
+            assert text.strip() == message
+            got.append((int(lineno), source.strip()))
+        assert len(lines) == 2 * len(got)
+        assert got == expected
 
     def test_unknown_game_is_data_error(self, capsys):
         code, _, err = run_cli(

@@ -1,0 +1,190 @@
+"""Enumeration by doubling and block views against the bit-matrix oracles.
+
+Tables, valuations and pair checks must match the (2^n, n) membership matrix
+and per-player masks byte for byte, and stay within a few tables of memory.
+"""
+
+import operator
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from dichotomy import production
+from dichotomy.apps import voting_power
+from dichotomy.coalition import CoalitionModel
+from dichotomy.dvalue import (
+    aggregate_gain_closed_form,
+    aggregate_loss_closed_form,
+    exact_valuation,
+    expected_production,
+)
+from dichotomy.errors import DomainError
+from dichotomy.production import (
+    AdditiveGame,
+    DenseTableGame,
+    KOutOfNGame,
+    SizeSymmetricGame,
+    WeightedVotingGame,
+    is_symmetric_pair,
+    random_dense_game,
+    random_monotone_game,
+    uniformly_outperforms,
+)
+
+from _oracles import (
+    bit_matrix_values,
+    masked_exact_dense,
+    masked_is_monotone,
+    masked_outperforms,
+    masked_size_totals,
+)
+
+
+def _integer_voting(n, rng):
+    w = rng.integers(1, 10, n).astype(float)
+    return WeightedVotingGame(w, float(w.sum() // 2 + 1))
+
+
+def _voting_at_attained_quota(n, rng):
+    # The quota is the weight of an actual coalition, so ties decide.
+    w = rng.integers(1, 10, n).astype(float)
+    return WeightedVotingGame(w, float(w[rng.random(n) < 0.5].sum() or w[0]))
+
+
+def _voting_in_tenths(n, rng):
+    # No weight is an integer; the quota is the float sum of half of them.
+    w = rng.integers(0, 3, n) + rng.integers(1, 10, n) / 10
+    return WeightedVotingGame(w, float(w[: max(1, n // 2)].sum()))
+
+
+# Families whose weight sums are exact take the doubling path; the rest fall
+# back to the membership matrix.
+_EXACT_SUMS = {
+    "voting-integer": _integer_voting,
+    "voting-attained-quota": _voting_at_attained_quota,
+    "k-of-n": lambda n, rng: KOutOfNGame(n, int(rng.integers(1, n + 1))),
+    "size-table": lambda n, rng: SizeSymmetricGame(n, np.r_[0.0, rng.random(n)]),
+    "dense": random_dense_game,
+    "monotone": random_monotone_game,
+    "additive-integer": lambda n, rng: AdditiveGame(rng.integers(-50, 50, n).astype(float)),
+}
+_FALLBACK = {
+    "voting-tenths": _voting_in_tenths,
+    "additive-real": lambda n, rng: AdditiveGame(rng.uniform(-1.0, 2.0, n)),
+    "additive-beyond-2^53": lambda n, rng: AdditiveGame(
+        np.r_[2.0**53, rng.integers(1, 9, n - 1)]
+    ),
+}
+_GAMES = {**_EXACT_SUMS, **_FALLBACK}
+_SIZES = (1, 2, 7, 12)
+
+
+def _game(name, n):
+    return _GAMES[name](n, np.random.default_rng([n, len(name)]))
+
+
+@pytest.mark.parametrize("n", _SIZES)
+@pytest.mark.parametrize("name", _GAMES)
+def test_table_matches_the_bit_matrix(name, n):
+    game = _game(name, n)
+    if name in _FALLBACK:
+        assert not production._sums_are_exact(game._w)
+    assert game.dense_values().tobytes() == bit_matrix_values(game).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, n", [(name, n) for name in _GAMES for n in _SIZES] + [("dense", 16)]
+)
+def test_enumerated_valuation_matches_per_player_masks(name, n):
+    # From n = 16 on, a sum over a strided view of the masks holding a player
+    # adds in another order than over those masks gathered in mask order.
+    game = _game(name, n)
+    if game.size_only or isinstance(game, AdditiveGame):
+        game = DenseTableGame(n, game.dense_values())  # force enumeration
+    model = CoalitionModel(n, 2.5, 1.5)
+    val = exact_valuation(model, game)
+    gain, loss, production_ = masked_exact_dense(model, bit_matrix_values(game))
+    assert val.gain.tobytes() == gain.tobytes()
+    assert val.loss.tobytes() == loss.tobytes()
+    assert val.aggregate_gain == float(gain.sum())
+    assert val.aggregate_loss == float(loss.sum())
+    assert val.expected_production == production_
+    totals = masked_size_totals(model, bit_matrix_values(game))
+    assert expected_production(model, game) == float(totals.sum())
+
+
+def _voting_table(n, rng):
+    # Heavier voters outperform lighter ones and equal weights tie, so the
+    # checks come out true as well as false.
+    return DenseTableGame(n, _integer_voting(n, rng).dense_values())
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("make", [random_dense_game, random_monotone_game, _voting_table])
+def test_pair_checks_match_masks(make, seed):
+    n = 10
+    game = make(n, np.random.default_rng(seed))
+    seen = set()
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i == j:
+                continue
+            for check, op in ((uniformly_outperforms, operator.ge),
+                              (is_symmetric_pair, operator.eq)):
+                got = check(game, i, j)
+                assert got == masked_outperforms(game.table, n, i, j, op)
+                seen.add(got)
+    if make is _voting_table:
+        assert seen == {True, False}
+
+
+def test_voting_certificate_matches_masks():
+    n = 10
+    model = CoalitionModel(n, 2.0, 3.0)
+    seen = set()
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        values = (random_monotone_game(n, rng).table >= 1.0).astype(float)
+        if seed % 2:  # flip one coalition's outcome
+            mask = int(rng.integers(1, 1 << n))
+            values[mask] = 1.0 - values[mask]
+        game = DenseTableGame(n, values)
+        monotone = masked_is_monotone(values, n)
+        seen.add(monotone)
+        if monotone:
+            assert np.all(np.isfinite(voting_power(model, game).power))
+        else:
+            with pytest.raises(DomainError, match="monotone"):
+                voting_power(model, game)
+    assert seen == {True, False}
+
+
+def _peak_tables(fn, n) -> float:
+    """Peak traced allocation of fn(), in tables of 2^n floats."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / ((1 << n) * 8)
+
+
+class TestMemory:
+    n = 18
+
+    def _setup(self):
+        rng = np.random.default_rng(5)
+        return CoalitionModel(self.n, 2.0, 3.0), _integer_voting(self.n, rng)
+
+    def test_table_build(self):
+        _, game = self._setup()
+        assert _peak_tables(game.dense_values, self.n) <= 4
+
+    @pytest.mark.parametrize(
+        "fn", [exact_valuation, aggregate_gain_closed_form, aggregate_loss_closed_form]
+    )
+    def test_valuation_and_aggregates(self, fn):
+        model, game = self._setup()
+        assert _peak_tables(lambda: fn(model, game), self.n) <= 8
