@@ -27,8 +27,10 @@ when its gate fails.
 
 import argparse
 import csv
+import math
 import os
 import sys
+from fractions import Fraction
 
 import numpy as np
 
@@ -94,6 +96,26 @@ def _write_out(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _voting_numbers(texts: list[str]) -> list[float]:
+    """The weights and then the quota of a weighted spec.
+
+    Read exactly from their decimal text and scaled by their common
+    denominator, they are integers; when the scaled weights total below
+    2^53, every weight sum is exact, so a coalition whose decimal weight
+    equals the quota reaches it.  Otherwise, or when a decimal exponent
+    exceeds 400 (Fraction would expand 10**exponent), they stay floats.
+    """
+    values = [float(x) for x in texts]
+    if all(map(math.isfinite, values)) and all(
+        abs(int(x.lower().partition("e")[2] or 0)) <= 400 for x in texts
+    ):
+        exact = [Fraction(x) for x in texts]
+        scale = math.lcm(*(f.denominator for f in exact))
+        if sum(abs(f) for f in exact[:-1]) * scale < 2**53:
+            return [float(f * scale) for f in exact]
+    return values
+
+
 def parse_game_spec(spec: str) -> Game:
     """A game family string or a path to a dense-game JSON file.
 
@@ -113,8 +135,8 @@ def parse_game_spec(spec: str) -> Game:
             return KOutOfNGame(n, n)
         if head == "weighted":
             w_str, q_str = rest.rsplit(":", 1)
-            weights = [float(x) for x in w_str.split(",")]
-            return WeightedVotingGame(weights, float(q_str))
+            *weights, quota = _voting_numbers(w_str.split(",") + [q_str])
+            return WeightedVotingGame(weights, quota)
         if head == "additive":
             return AdditiveGame([float(x) for x in rest.split(",")])
     except RangeError:

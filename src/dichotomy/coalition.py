@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import log_beta, log_binom
 
 __all__ = [
     "CoalitionModel",
@@ -120,6 +119,128 @@ class PosteriorRate:
             raise DomainError(f"observed rate must lie in [0, 1], got {self.omega}")
 
 
+# Terms of the running sums of the size law are added within blocks of this
+# length and the block totals are added in turn, so rounding grows with the
+# block length and the block count, not with n.
+_BLOCK = 4096
+# Stirling series of the remainder below, in powers of 1 / x^2: B_2k / (2k (2k - 1)).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _running_sum(d: np.ndarray, backward: bool = False) -> np.ndarray:
+    """[0, d[0], d[0] + d[1], ..., sum(d)], summed blockwise; backward, the
+    sums run from the end and are negated, [-sum(d), ..., -d[-1], 0]."""
+    if backward:
+        back = _running_sum(d[::-1])
+        return np.negative(back, out=back)[::-1]
+    k = len(d)
+    blocks = -(-k // _BLOCK)
+    out = np.zeros(blocks * _BLOCK + 1)
+    out[1 : k + 1] = d
+    body = out[1:].reshape(blocks, _BLOCK)
+    np.cumsum(body, axis=1, out=body)
+    body[1:] += np.cumsum(body[:-1, -1])[:, None]
+    return out[: k + 1]
+
+
+def _log_size_law(model: CoalitionModel) -> np.ndarray:
+    """log P(|S| = t) for t = 0..n, less its largest value.
+
+    Neighbouring sizes have the ratio (n - t)(theta + t) / ((t + 1)(rho +
+    n - 1 - t)); its excess over one has the numerator (n - t)(theta - 1) -
+    (t + 1)(rho - 1), which is linear in t, so the law is unimodal (theta +
+    rho >= 2) or U-shaped.  The logs of the ratios are summed away from
+    each maximum: outward from the mode, or inward from both ends to the
+    trough.  The integer n - 1 - t is formed before rho is added.
+    """
+    n, th, rh = model.n, model.theta, model.rho
+    t = np.arange(n, dtype=float)
+    rest = t[::-1]  # n - 1 - t
+    num = (rest + 1.0) * (th - 1.0) - (t + 1.0) * (rh - 1.0)
+    d = (t + 1.0) * (rh + rest)
+    with np.errstate(over="ignore"):  # an overflowing excess is handled below
+        np.divide(num, d, out=d)
+    # Where the ratio is below one half, log1p of its excess would magnify
+    # the rounding of the excess, and where the excess overflows it is lost:
+    # there, take the logs of the ratio's two sides.
+    far = np.flatnonzero((d < -0.5) | (d == np.inf))
+    tf, rf = t[far], rest[far]
+    np.log1p(d, out=d, where=(d >= -0.5) & (d < np.inf))
+    d[far] = np.log((rf + 1.0) * (th + tf)) - np.log((tf + 1.0) * (rh + rf))
+    unimodal = th + rh >= 2.0
+    split = int(np.count_nonzero(num > 0.0 if unimodal else num < 0.0))
+    left = _running_sum(d[:split], backward=unimodal)
+    right = _running_sum(d[split:], backward=not unimodal)
+    right += left[-1] - right[0]
+    law = np.concatenate((left, right[1:]))
+    law -= law.max()
+    return law
+
+
+def _size_pmf_vector(model: CoalitionModel) -> np.ndarray:
+    """P(|S| = t) for every size t = 0..n, from the ratios of neighbouring sizes."""
+    p = _log_size_law(model)
+    np.exp(p, out=p)
+    p /= p.sum()
+    return p
+
+
+def _stirlerr(x: float) -> float:
+    """The Stirling remainder lgamma(x) - (x - 1/2) log x + x - log(2 pi) / 2:
+    from lgamma below 10, from its series above."""
+    if x < 10.0:
+        return math.lgamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * math.log(2.0 * math.pi)
+    y = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * y + c
+    return acc / x
+
+
+def _log_mode_factor(a: float, b: float) -> float:
+    """a log(mu) + b log(1 - mu) - log B(a, b) at mu = a / (a + b), in the
+    form of Loader (2000) that does not cancel at large shapes."""
+    lo, hi = sorted((a, b))  # ab / (a + b) without underflow in ab
+    return (
+        0.5 * (math.log(lo * (hi / (a + b))) - math.log(2.0 * math.pi))
+        - _stirlerr(a) - _stirlerr(b) + _stirlerr(a + b)
+    )
+
+
+def _bd0(x: float, m: float, d: float) -> float:
+    """x log(x / m) + m - x for the difference d = x - m (Loader's deviance
+    term); near x = m it is summed as a series in v = d / (x + m)."""
+    if x == 0.0:
+        return m
+    v = d / (x + m)
+    if abs(v) >= 0.5:
+        # m underflows only beside a tiny shape x, where x log(x / m) is negligible.
+        return x * math.log(x / max(m, math.ulp(0.0))) - d
+    total, term = d * v, 2.0 * x * v
+    for j in range(3, 57, 2):  # |v| < 1/2: the last term is below 2^-52 of the first
+        term *= v * v
+        total += term / j
+    return total
+
+
+def _log_pmf_core(model: CoalitionModel, s: int) -> float:
+    """log P(|S| = s) - log C(n, s) + n H(s / n), with H the binary entropy.
+
+    With a = theta + s, b = rho + n - s and mu = a / (a + b), the terms of
+    order n cancel exactly into four deviance terms, all of one sign, and
+    what is left are the mode factors of the posterior and of the prior.
+    """
+    n, th, rh = model.n, model.theta, model.rho
+    a, b = th + s, rh + (n - s)
+    total = a + b
+    d = (s * rh - (n - s) * th) / total  # s - n mu, without cancellation
+    deviance = (
+        _bd0(s, n * a / total, d) + _bd0(n - s, n * b / total, -d)
+        + _bd0(th, (th + rh) * a / total, -d) + _bd0(rh, (th + rh) * b / total, d)
+    )
+    return -deviance - _log_mode_factor(a, b) + _log_mode_factor(th, rh)
+
+
 def _check_size(model: CoalitionModel, s) -> None:
     if s < 0 or s > model.n:
         raise DomainError(f"size {s} outside 0..{model.n}")
@@ -128,29 +249,30 @@ def _check_size(model: CoalitionModel, s) -> None:
 def size_pmf(model: CoalitionModel, s: int) -> float:
     """Probability that the employed set has exactly s members."""
     _check_size(model, s)
-    return math.exp(
-        log_binom(model.n, s)
-        + log_beta(model.theta + s, model.rho + model.n - s)
-        - log_beta(model.theta, model.rho)
-    )
+    n = model.n
+    log_p = _log_pmf_core(model, s)
+    if 0 < s < n:  # log C(n, s) - n H(s / n)
+        log_p += _log_mode_factor(s, n - s) + math.log(n / (s * (n - s)))
+    return math.exp(log_p)
 
 
 def subset_pmf(model: CoalitionModel, T: SubsetId) -> float:
     """Probability that the employed set equals T; depends on |T| only."""
     if T.n != model.n:
         raise DomainError(f"subset is over {T.n} players, model has {model.n}")
-    t = T.size
-    return math.exp(
-        log_beta(model.theta + t, model.rho + model.n - t)
-        - log_beta(model.theta, model.rho)
-    )
+    n, t = model.n, T.size
+    entropy = sum(k * math.log1p((n - k) / k) for k in (t, n - t) if k)
+    return math.exp(_log_pmf_core(model, t) - entropy)
 
 
 def log_size_weights(model: CoalitionModel) -> np.ndarray:
     """log P(S = T) for one subset of each size t = 0..n."""
-    n, th, rh = model.n, model.theta, model.rho
-    lb0 = log_beta(th, rh)
-    return np.array([log_beta(th + t, rh + n - t) - lb0 for t in range(n + 1)])
+    n = model.n
+    law = _log_size_law(model)
+    law -= math.log(np.exp(law).sum())
+    j = np.arange(n // 2, dtype=float)
+    half = _running_sum(np.log((n - j) / (j + 1.0)))  # log C(n, t) for t <= n / 2
+    return law - np.concatenate((half, half[n - n // 2 - 1 :: -1]))
 
 
 def posterior(model: CoalitionModel, s: int) -> PosteriorRate:

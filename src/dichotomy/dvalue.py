@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coalition import CoalitionModel, log_size_weights, sample_memberships, spawn_streams
+from .coalition import CoalitionModel, _size_pmf_vector, sample_memberships, spawn_streams
 from .errors import CapacityError, DomainError, InvariantViolation, SingularSystemError
-from .numerics import log_beta, log_binom
 from .production import AdditiveGame, ENUMERATION_CAP, Game, _popcounts, uniformly_outperforms
 
 __all__ = [
@@ -83,94 +82,68 @@ def _check_model_game(model: CoalitionModel, game: Game) -> None:
         raise DomainError(f"model has {model.n} players, game has {game.n}")
 
 
-def _weighted_size_totals(game: Game, lw: np.ndarray) -> np.ndarray:
-    """P(S = T) times the sum of v(T) over coalitions of each size t, from
-    the log size weights ``lw`` of ``log_size_weights``.
+def _subset_weights(pmf: np.ndarray) -> np.ndarray:
+    """P(S = T) for one coalition T of each size, from the size pmf; the
+    binomial coefficients are exact up to the enumeration cap."""
+    n = len(pmf) - 1
+    return pmf / np.array([math.comb(n, t) for t in range(n + 1)], dtype=float)
 
-    The coalition-count multiplicity is combined with the log-weights before
-    exponentiating, so the entries stay bounded by the size distribution
-    times the value scale at any n.
-    """
+
+def _weighted_size_totals(game: Game, pmf: np.ndarray) -> np.ndarray:
+    """P(S = T) times the sum of v(T) over the coalitions T of each size t,
+    from the size pmf; the last entry is P(S = N) v(N)."""
     n = game.n
     if game.size_only:
-        u = game.value_by_size()
-        return np.exp([log_binom(n, t) + lw[t] for t in range(n + 1)]) * u
+        return pmf * game.value_by_size()
     if isinstance(game, AdditiveGame):
-        total = float(game.player_values.sum())
         # Each player sits in C(n-1, t-1) of the C(n, t) coalitions of size t.
-        out = np.zeros(n + 1)
-        for t in range(1, n + 1):
-            out[t] = math.exp(log_binom(n - 1, t - 1) + lw[t]) * total
-        return out
+        return pmf * (np.arange(n + 1) / n) * float(game.player_values.sum())
     table = game.dense_values()
     sizes = _popcounts(n)
-    w = np.exp(lw)
+    w = _subset_weights(pmf)
     return np.bincount(sizes, weights=w[sizes] * table, minlength=n + 1)
-
-
-def _grand_value(game: Game) -> float:
-    if game.size_only:
-        return float(game.value_by_size()[-1])
-    if isinstance(game, AdditiveGame):
-        return float(game.player_values.sum())
-    return float(game.dense_values()[-1])
 
 
 def expected_production(model: CoalitionModel, game: Game) -> float:
     """Mean of v(S) under the coalition model."""
     _check_model_game(model, game)
-    return float(_weighted_size_totals(game, log_size_weights(model)).sum())
+    return float(_weighted_size_totals(game, _size_pmf_vector(model)).sum())
 
 
 def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndarray, float]:
-    n, th, rh = model.n, model.theta, model.rho
+    n = model.n
     if n > ENUMERATION_CAP:
         raise CapacityError(
             f"exact valuation by enumeration limited to n <= {ENUMERATION_CAP}"
         )
     table = game.dense_values()
-    sizes = _popcounts(n)
-    lb0 = log_beta(th, rh)
-    lw = log_size_weights(model)
-    w = np.exp(lw)
-    # Weight a coalition would have with one extra (resp. one fewer) member.
-    w_plus = np.zeros(n + 1)
-    w_plus[:n] = np.exp([log_beta(th + t + 1, rh + n - t - 1) - lb0 for t in range(n)])
-    w_minus = np.zeros(n + 1)
-    w_minus[1:] = np.exp(
-        [log_beta(th + t - 1, rh + n - t + 1) - lb0 for t in range(1, n + 1)]
-    )
-
-    def sums(by_size):
-        """The sum of by_size[|T|] v(T) over all T, and over the T holding
-        each player."""
-        wv = by_size[sizes] * table
-        # The masks holding player i + 1 in mask order: ravel copies them,
-        # so each is the same pairwise sum as over a masked gather.
-        inside = [wv.reshape(-1, 2, 1 << i)[:, 1].ravel().sum() for i in range(n)]
-        return wv.sum(), np.array(inside)
-
-    total_wv, s_wv = sums(w)
-    total_plus, s_plus = sums(w_plus)
-    s_minus = sums(w_minus)[1]
-    gain = s_wv - (total_plus - s_plus)
-    loss = s_minus - (total_wv - s_wv)
-    return gain, loss, float(total_wv)
+    weight = _subset_weights(_size_pmf_vector(model))[_popcounts(n)]  # P(S = T)
+    gain, loss = np.empty(n), np.empty(n)
+    step, gained = np.empty(1 << (n - 1)), np.empty(1 << (n - 1))
+    for i in range(n):
+        # Over the pairs (T, T + i) of masks without and with player i + 1,
+        # in mask order; each term is one weighted marginal, so nothing
+        # cancels, and P(S = T + i) is read at the mask with one more member.
+        t = table.reshape(-1, 2, 1 << i)
+        w = weight.reshape(-1, 2, 1 << i)
+        s = step.reshape(-1, 1 << i)
+        np.subtract(t[:, 1], t[:, 0], out=s)
+        np.multiply(w[:, 1], s, out=gained.reshape(s.shape))
+        s *= w[:, 0]
+        gain[i], loss[i] = gained.sum(), step.sum()
+    weight *= table
+    return gain, loss, float(weight.sum())
 
 
-def _exact_size_symmetric(game: Game, lw: np.ndarray):
+def _exact_size_symmetric(game: Game, pmf: np.ndarray):
     n = game.n
-    u = game.value_by_size()
-    gain_terms = [
-        math.exp(log_binom(n - 1, t - 1) + lw[t]) * (u[t] - u[t - 1])
-        for t in range(1, n + 1)
-    ]
-    loss_terms = [
-        math.exp(log_binom(n - 1, t) + lw[t]) * (u[t + 1] - u[t]) for t in range(n)
-    ]
-    gain = np.full(n, math.fsum(gain_terms))
-    loss = np.full(n, math.fsum(loss_terms))
-    return gain, loss
+    step = np.diff(game.value_by_size())  # u(t + 1) - u(t)
+    inside = np.arange(n + 1) / n  # C(n-1, t-1) / C(n, t)
+    outside = inside[::-1]  # C(n-1, t) / C(n, t)
+    moves = step != 0  # fsum only the sizes where u steps; it is slow over all n
+    gain = math.fsum((pmf[1:] * inside[1:] * step)[moves])
+    loss = math.fsum((pmf[:-1] * outside[:-1] * step)[moves])
+    return np.full(n, gain), np.full(n, loss)
 
 
 def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
@@ -181,13 +154,13 @@ def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
     """
     _check_model_game(model, game)
     if game.size_only:
-        lw = log_size_weights(model)
-        gain, loss = _exact_size_symmetric(game, lw)
-        production = float(_weighted_size_totals(game, lw).sum())
+        pmf = _size_pmf_vector(model)
+        gain, loss = _exact_size_symmetric(game, pmf)
+        production = float(_weighted_size_totals(game, pmf).sum())
     elif isinstance(game, AdditiveGame):
-        share = model.prior_mean
-        gain = game.player_values * share
-        loss = game.player_values * (1.0 - share)
+        gain = game.player_values * model.prior_mean
+        # rho / (theta + rho), not 1 - prior_mean, which cancels when rho << theta.
+        loss = game.player_values * (model.rho / (model.theta + model.rho))
         production = float(gain.sum())
     else:
         gain, loss, production = _exact_dense(model, game)
@@ -206,28 +179,25 @@ def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
 def _aggregate_closed_form(model: CoalitionModel, game: Game, which: str) -> float:
     _check_model_game(model, game)
     n, th, rh = model.n, model.theta, model.rho
-    lw = log_size_weights(model)
-    weighted = _weighted_size_totals(game, lw)
-    grand_w = math.exp(lw[n])
+    weighted = _weighted_size_totals(game, _size_pmf_vector(model))
     t = np.arange(n + 1, dtype=float)
     if which == "gain":
-        denom = rh + n - t - 1.0
+        denom = rh + (n - 1.0 - t)  # the integer part first, so rho keeps its digits
         if np.any(np.abs(denom[:n]) < 1e-12):
             raise SingularSystemError(
                 "coefficient denominator rho + n - t - 1 vanishes"
             )
-        coef = np.zeros(n + 1)
+        coef = np.empty(n + 1)
         coef[:n] = (t[:n] * (th + rh - 1.0) - n * th) / denom[:n]
-        # All coalitions except the grand one (coef[n] is 0), plus its
-        # dedicated term.
-        return float((coef * weighted).sum() + n * grand_w * _grand_value(game))
-    denom = th + t - 1.0
+        coef[n] = n  # the grand coalition's own term, n P(S = N) v(N)
+        return math.fsum(coef * weighted)
+    denom = th + (t - 1.0)
     if np.any(np.abs(denom[1:]) < 1e-12):
         raise SingularSystemError("coefficient denominator theta + t - 1 vanishes")
     coef = np.zeros(n + 1)
     coef[1:] = (t[1:] * (th + rh - 1.0) - n * (th - 1.0)) / denom[1:]
     # v(empty) = 0 by construction, so the empty coalition adds no term.
-    return float((coef * weighted).sum())
+    return math.fsum(coef * weighted)
 
 
 def aggregate_gain_closed_form(model: CoalitionModel, game: Game) -> float:

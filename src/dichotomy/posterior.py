@@ -14,9 +14,8 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .coalition import PosteriorRate
+from .coalition import PosteriorRate, _log_mode_factor
 from .errors import DomainError
-from .numerics import log_beta
 from .serialize import csv_line
 from .taxpolicy import asymptotic_tax_rule, solve_theta_rho
 
@@ -83,24 +82,16 @@ def beta_median(a: float, b: float) -> float:
 
 
 def mad_about_mean(a: float, b: float) -> float:
-    """Mean absolute deviation about the mean, entirely in log space.
+    """Mean absolute deviation about the mean.
 
     Uses the exact identity 2 a^a b^b / (B(a,b) (a+b)^(a+b+1)); the often
     quoted variant without the +1 in the exponent overstates the deviation
     by a factor a+b (at a = b = 1 it gives 1/2 where direct integration of
-    the uniform density gives 1/4).
+    the uniform density gives 1/4).  The factor mu^a (1-mu)^b / B(a,b) is
+    taken in a form that does not cancel at large shapes.
     """
     _check_shapes(a, b)
-    mu = a / (a + b)
-    muc = b / (a + b)
-    ln = (
-        math.log(2.0)
-        + a * math.log(mu)
-        + b * math.log(muc)
-        - log_beta(a, b)
-        - math.log(a + b)
-    )
-    return math.exp(ln)
+    return 2.0 * math.exp(_log_mode_factor(a, b)) / (a + b)
 
 
 def semivariances(a: float, b: float) -> tuple[float, float]:
@@ -115,8 +106,7 @@ def semivariances(a: float, b: float) -> tuple[float, float]:
     _check_shapes(a, b)
     var = beta_variance(a, b)
     mu = a / (a + b)
-    muc = b / (a + b)
-    dens = math.exp(a * math.log(mu) + b * math.log(muc) - log_beta(a, b))
+    dens = math.exp(_log_mode_factor(a, b))  # mu^a (1-mu)^b / B(a,b)
     lower = var * float(betainc(a, b, mu)) + dens * mu * (2.0 * mu - 1.0) / (
         a * (a + b + 1.0)
     )

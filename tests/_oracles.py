@@ -240,43 +240,33 @@ def bit_matrix_values(game) -> np.ndarray:
     return game.values_for_memberships(members.astype(bool))
 
 
+def _library_weights(model) -> np.ndarray:
+    """The library's P(S = T) for one T of each size."""
+    from dichotomy.coalition import _size_pmf_vector
+    from dichotomy.dvalue import _subset_weights
+
+    return _subset_weights(_size_pmf_vector(model))
+
+
 def masked_exact_dense(model, table):
     """(gain, loss, expected production) summed over per-player masks."""
-    from dichotomy.coalition import log_size_weights
-    from dichotomy.numerics import log_beta
-
-    n, th, rh = model.n, model.theta, model.rho
+    n = model.n
     masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.bitwise_count(masks)
-    lb0 = log_beta(th, rh)
-    w = np.exp(log_size_weights(model))
-    w_plus = np.zeros(n + 1)
-    w_plus[:n] = np.exp([log_beta(th + t + 1, rh + n - t - 1) - lb0 for t in range(n)])
-    w_minus = np.zeros(n + 1)
-    w_minus[1:] = np.exp(
-        [log_beta(th + t - 1, rh + n - t + 1) - lb0 for t in range(1, n + 1)]
-    )
-    wv = w[sizes] * table
-    wv_plus = w_plus[sizes] * table
-    wv_minus = w_minus[sizes] * table
-    total_wv = wv.sum()
-    total_plus = wv_plus.sum()
+    weight = _library_weights(model)[np.bitwise_count(masks)]
     gain = np.empty(n)
     loss = np.empty(n)
     for i in range(n):
-        inside = (masks >> i) & 1 == 1
-        s_wv = wv[inside].sum()
-        gain[i] = s_wv - (total_plus - wv_plus[inside].sum())
-        loss[i] = wv_minus[inside].sum() - (total_wv - s_wv)
-    return gain, loss, float(total_wv)
+        outside = masks[(masks >> i) & 1 == 0]
+        step = table[outside | (1 << i)] - table[outside]
+        gain[i] = (weight[outside | (1 << i)] * step).sum()
+        loss[i] = (weight[outside] * step).sum()
+    return gain, loss, float((weight * table).sum())
 
 
 def masked_size_totals(model, table) -> np.ndarray:
     """Sum of P(S = T) v(T) over the coalitions of each size."""
-    from dichotomy.coalition import log_size_weights
-
     sizes = np.bitwise_count(np.arange(len(table), dtype=np.int64))
-    w = np.exp(log_size_weights(model))
+    w = _library_weights(model)
     return np.bincount(sizes, weights=w[sizes] * table, minlength=model.n + 1)
 
 

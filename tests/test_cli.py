@@ -212,12 +212,12 @@ class TestDvalue:
         assert maxrss_kb < 400 * 1024
         assert len(json.loads(out.read_text())["gamma"]) == 22
         # One warning per enumerating call site, in the order the command
-        # reaches them: the valuation, the size totals, the grand value.
+        # reaches them: the valuation, then the size totals, which also give
+        # the aggregates v(N).
         lines = err.read_text().splitlines()
         message = "UserWarning: enumerating 2^22 subsets; expect noticeable cost above n = 20"
         expected = [
-            _dense_values_call(f)
-            for f in (dvalue._exact_dense, dvalue._weighted_size_totals, dvalue._grand_value)
+            _dense_values_call(f) for f in (dvalue._exact_dense, dvalue._weighted_size_totals)
         ]
         got = []
         for where, source in zip(lines[::2], lines[1::2]):
@@ -227,6 +227,14 @@ class TestDvalue:
             got.append((int(lineno), source.strip()))
         assert len(lines) == 2 * len(got)
         assert got == expected
+
+    def test_decimal_weights_decide_ties_exactly(self, capsys):
+        # 0.1 + 0.7 < 0.8 in floats; read as decimals, {2, 3} meets the quota.
+        shape = ["--theta", "1", "--rho", "1"]
+        decimal = run_cli(["dvalue", "--game", "weighted:0.8,0.1,0.7:0.8", *shape], capsys)
+        integer = run_cli(["dvalue", "--game", "weighted:8,1,7:8", *shape], capsys)
+        assert decimal == integer
+        assert json.loads(integer[1])["gamma"][0] == 0.25
 
     def test_unknown_game_is_data_error(self, capsys):
         code, _, err = run_cli(

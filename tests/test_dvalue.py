@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ class TestExactValuation:
         assert mixed.gain == pytest.approx(a * va_val.gain + b * vb_val.gain, abs=1e-12)
         assert mixed.loss == pytest.approx(a * va_val.loss + b * vb_val.loss, abs=1e-12)
 
+    def test_additive_loss_at_a_lopsided_shape(self):
+        # The unemployed share rho / (theta + rho) is 3e-9 here; 1 - 1e9 / (1e9
+        # + 3) would keep only eight of its digits.
+        model = CoalitionModel(3, 1e9, 3.0)
+        val = exact_valuation(model, AdditiveGame([1.0, 2.0, 5.0]))
+        share = Fraction(3) / (Fraction(10**9) + 3)
+        for v, got in zip((1, 2, 5), val.loss):
+            assert abs(Fraction(got) / (v * share) - 1) <= 4e-16
+
 
 class TestAggregates:
     def test_zero_game(self):
@@ -144,6 +154,13 @@ class TestAggregates:
             al = aggregate_loss_closed_form(model, game)
             assert abs(ag - val.aggregate_gain) <= 1e-10 * max(1.0, abs(ag))
             assert abs(al - val.aggregate_loss) <= 1e-10 * max(1.0, abs(al))
+
+    def test_lopsided_majority_gain_aggregate_does_not_cancel(self):
+        # At (1e6, 1) the size-n term, about 999, cancels the others; the
+        # pivotal size 501 has probability far below 1e-300, so the exact
+        # aggregate is 0.
+        model = CoalitionModel(1000, 1e6, 1.0)
+        assert abs(aggregate_gain_closed_form(model, KOutOfNGame(1000, 501))) < 1e-9
 
     def test_size_symmetric_collapse_matches_dense(self):
         model = CoalitionModel(10, 1.4, 0.9)

@@ -10,9 +10,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dichotomy import production
+from dichotomy import dvalue, production
 from dichotomy.apps import voting_power
-from dichotomy.coalition import CoalitionModel
+from dichotomy.coalition import CoalitionModel, _size_pmf_vector
 from dichotomy.dvalue import (
     aggregate_gain_closed_form,
     aggregate_loss_closed_form,
@@ -112,6 +112,24 @@ def test_enumerated_valuation_matches_per_player_masks(name, n):
     assert val.expected_production == production_
     totals = masked_size_totals(model, bit_matrix_values(game))
     assert expected_production(model, game) == float(totals.sum())
+
+
+@pytest.mark.parametrize("n", [1, 7, 12])
+@pytest.mark.parametrize("name", ["voting-integer", "voting-tenths", "dense"])
+def test_gain_aggregate_takes_v_of_n_from_its_one_table(name, n, monkeypatch):
+    # Integer weights, the bit-matrix fallback and a stored table.
+    game = _game(name, n)
+    model = CoalitionModel(n, 2.5, 1.5)
+    pmf = _size_pmf_vector(model)
+    last = game.dense_values()[-1]
+    assert dvalue._weighted_size_totals(game, pmf)[n] == pmf[n] * last
+    builds = []
+    build = type(game).dense_values
+    monkeypatch.setattr(
+        type(game), "dense_values", lambda g: builds.append(1) or build(g)
+    )
+    aggregate_gain_closed_form(model, game)
+    assert len(builds) == 1
 
 
 def _voting_table(n, rng):

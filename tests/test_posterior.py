@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dichotomy.coalition import PosteriorRate
+from dichotomy.coalition import PosteriorRate, _log_mode_factor
 from dichotomy.errors import DomainError
 from dichotomy.posterior import (
     beta_mean,
@@ -12,6 +12,7 @@ from dichotomy.posterior import (
     beta_mode,
     beta_raw_moment,
     beta_variance,
+    _solved_shapes,
     mad_about_mean,
     semivariances,
     summarize,
@@ -100,6 +101,21 @@ class TestMad:
     def test_squared_ratio_to_variance_limit(self):
         ratio = mad_about_mean(1e4, 1e4) ** 2 / beta_variance(1e4, 1e4)
         assert ratio == pytest.approx(2.0 / math.pi, abs=1e-3)
+
+    @pytest.mark.parametrize("n", [10**k for k in range(3, 9)])
+    def test_mode_factor_along_the_verify_ladder(self, n):
+        # The shapes verify --theorem 6 reaches, against 40-digit mpmath; at
+        # n = 1e8 a log-beta from log-gammas of about 1.7e9 is off by 1e-7.
+        _, _, a, b = _solved_shapes(0.9, 0.1, 0.5, n)
+        with mpmath.workdps(40):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            factor = mpmath.exp(
+                ma * mpmath.log(ma / (ma + mb)) + mb * mpmath.log(mb / (ma + mb))
+                - mpmath.log(mpmath.beta(ma, mb))
+            )
+            mad = 2 * factor / (ma + mb)
+            assert abs(math.exp(_log_mode_factor(a, b)) / factor - 1) <= 1e-13
+            assert abs(mad_about_mean(a, b) / mad - 1) <= 1e-13
 
 
 class TestSemivariances:
