@@ -17,7 +17,9 @@ one-line ``error: <message>`` on stderr and an exit code, through
 * 4 data: a malformed file, game spec, curve spec or table row
   (``DataError``), or an unreadable input or unwritable ``--out``
   (``OSError``)
-* 5 capacity: a request beyond the enumeration cap (``CapacityError``)
+* 5 capacity: a request beyond every exact path (``CapacityError``): the
+  enumeration cap, n <= 24, and for integer voting weights the count
+  limits, n <= 66 within 2^22 count cells
 
 Three exits follow partial output and stay in their handlers: ``tax-rate``
 exits 3 after its row when no positive hyperparameters exist, ``series``

@@ -17,7 +17,15 @@ import numpy as np
 
 from .coalition import CoalitionModel, _size_pmf_vector, sample_memberships, spawn_streams
 from .errors import CapacityError, DomainError, InvariantViolation, SingularSystemError
-from .production import AdditiveGame, ENUMERATION_CAP, Game, _popcounts, uniformly_outperforms
+from .production import (
+    AdditiveGame,
+    ENUMERATION_CAP,
+    Game,
+    _COUNT_MAX_N,
+    _popcounts,
+    _voting_counts,
+    uniformly_outperforms,
+)
 
 __all__ = [
     "Valuation",
@@ -84,7 +92,8 @@ def _check_model_game(model: CoalitionModel, game: Game) -> None:
 
 def _subset_weights(pmf: np.ndarray) -> np.ndarray:
     """P(S = T) for one coalition T of each size, from the size pmf; the
-    binomial coefficients are exact up to the enumeration cap."""
+    binomial coefficients are exact integers, whose floats may round (by at
+    most half an ulp) once they pass 2^53, from n = 57 on."""
     n = len(pmf) - 1
     return pmf / np.array([math.comb(n, t) for t in range(n + 1)], dtype=float)
 
@@ -98,6 +107,9 @@ def _weighted_size_totals(game: Game, pmf: np.ndarray) -> np.ndarray:
     if isinstance(game, AdditiveGame):
         # Each player sits in C(n-1, t-1) of the C(n, t) coalitions of size t.
         return pmf * (np.arange(n + 1) / n) * float(game.player_values.sum())
+    counts = _voting_counts(game, swings=False)
+    if counts is not None:
+        return _subset_weights(pmf) * counts[0]
     table = game.dense_values()
     sizes = _popcounts(n)
     w = _subset_weights(pmf)
@@ -112,9 +124,17 @@ def expected_production(model: CoalitionModel, game: Game) -> float:
 
 def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndarray, float]:
     n = model.n
+    counts = _voting_counts(game)
+    if counts is not None:
+        # A swing of player i + 1 from a coalition T of t others weighs
+        # P(S = T + i) in the gain and P(S = T) in the loss.
+        wins, swings = counts
+        f = _subset_weights(_size_pmf_vector(model))
+        return swings @ f[1:], swings @ f[:-1], float((f * wins).sum())
     if n > ENUMERATION_CAP:
         raise CapacityError(
-            f"exact valuation by enumeration limited to n <= {ENUMERATION_CAP}"
+            f"exact valuation by enumeration limited to n <= {ENUMERATION_CAP}; "
+            f"integer voting weights are counted up to n = {_COUNT_MAX_N}"
         )
     table = game.dense_values()
     weight = _subset_weights(_size_pmf_vector(model))[_popcounts(n)]  # P(S = T)
@@ -149,8 +169,9 @@ def _exact_size_symmetric(game: Game, pmf: np.ndarray):
 def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
     """Exact per-player valuation.
 
-    Enumerates coalitions up to the cap; size-symmetric and additive games
-    take closed-form routes that scale to any n.
+    Enumerates coalitions up to the cap, and counts those of each size and
+    weight for integer-weight voting games up to n = 66; size-symmetric and
+    additive games take closed-form routes that scale to any n.
     """
     _check_model_game(model, game)
     if game.size_only:

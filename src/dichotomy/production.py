@@ -35,6 +35,11 @@ __all__ = [
 
 ENUMERATION_CAP = 24
 _ENUMERATION_WARN = 20
+# Integer voting games are counted, not enumerated, while every count fits
+# int64 (C(66, 33) < 2^63 <= C(67, 33)) and the count table holds at most
+# 2^22 int64 cells (32 MB).
+_COUNT_MAX_N = 66
+_COUNT_CELLS = 1 << 22
 
 
 class Game:
@@ -109,6 +114,58 @@ def _subset_sums(w: np.ndarray) -> np.ndarray:
     for k, wk in enumerate(w):
         np.add(out[: 1 << k], wk, out=out[1 << k : 2 << k])
     return out
+
+
+def _voting_counts(game: Game, swings: bool = True):
+    """(wins, swings) counts of an integer-weight voting game, or None.
+
+    ``wins[t]`` is the number of winning coalitions of t players, and
+    ``swings[i, t]`` the number of coalitions of t players without player
+    i + 1 that lose, but win once i + 1 joins; ``swings`` is None when not
+    asked for.  Both come from C[t, W], the number of coalitions of t players
+    and weight W, built one player at a time (the generating-function count
+    of Matsui & Matsui 2000).  Only losing weights W < quota are kept: wins
+    are C(n, t) minus the losing counts, and removing one player of weight w
+    from C is the exact deconvolution D[t] = C[t] - shift_w(D[t - 1]).  Every
+    count is an exact int64, so nothing cancels.  None unless the weights
+    are integers with exact sums, n <= _COUNT_MAX_N, and the table fits
+    within _COUNT_CELLS cells.
+    """
+    n = game.n
+    if not (
+        isinstance(game, WeightedVotingGame)
+        and n <= _COUNT_MAX_N
+        and _sums_are_exact(game.weights)
+    ):
+        return None
+    w = game.weights.astype(np.int64)
+    # The lightest winning weight; past the total when nobody can win.
+    top = min(math.ceil(game.quota), int(w.sum()) + 1)
+    if (n + 1) * top > _COUNT_CELLS:
+        return None
+    losing = np.zeros((n + 1, top), np.int64)
+    losing[0, 0] = 1
+    reach = 0  # the weight of all the players added so far
+    for k, wk in enumerate(w):
+        width = min(reach + 1, top - wk)
+        if width > 0:  # numpy reads an overlapping operand before writing
+            losing[1 : k + 2, wk : wk + width] += losing[: k + 1, :width]
+        reach += wk
+    coalitions = np.array([math.comb(n, t) for t in range(n + 1)], np.int64)
+    wins = coalitions - losing.sum(axis=1)
+    if not swings:
+        return wins, None
+    swings = np.zeros((n, n), np.int64)
+    # A player of weight 0 never swings.  (np.unique would cost a lazy
+    # import of about 10 ms on a cold start.)
+    for wk in set(w[w > 0].tolist()):
+        others = losing[:n].copy()  # D[t, W]: the other n - 1 players
+        lo = max(top - wk, 0)  # losing without the player, winning with them
+        if lo:
+            for t in range(1, n):
+                others[t, wk:] -= others[t - 1, :lo]
+        swings[w == wk] = others[:, lo:].sum(axis=1)
+    return wins, swings
 
 
 def _popcounts(n: int) -> np.ndarray:

@@ -48,6 +48,8 @@ def _emit(obj, out: list[str]) -> None:
             out.append(": ")
             _emit(val, out)
         out.append("}")
+    elif isinstance(obj, (list, tuple)) and set(map(type, obj)) == {float}:
+        out.append("[" + _float_items(obj) + "]")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for k, val in enumerate(obj):
@@ -57,6 +59,19 @@ def _emit(obj, out: list[str]) -> None:
         out.append("]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _float_items(values) -> str:
+    """The items of a list of floats, as ``_emit`` writes them, formatting
+    each distinct value once: valuations repeat a few values many times."""
+    text = dict.fromkeys(values)
+    for x in text:  # in order of first appearance
+        if not math.isfinite(x):
+            raise DomainError(f"non-finite result {fmt_float(x)} has no JSON form")
+        text[x] = fmt_float(x)
+    if 0.0 in text:  # 0.0 and -0.0 share a key, not a text
+        return ", ".join([text[x] if x else fmt_float(x) for x in values])
+    return ", ".join(map(text.__getitem__, values))
 
 
 def json_dumps(obj) -> str:

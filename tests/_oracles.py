@@ -7,6 +7,7 @@ test.
 
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -284,3 +285,41 @@ def masked_is_monotone(table, n) -> bool:
     return not any(
         np.any(table[masks | (1 << i)] < table[masks & ~(1 << i)]) for i in range(n)
     )
+
+
+# --- weighted voting, counted coalition by coalition --------------------------
+
+def voting_counts_by_masks(weights, quota):
+    """(wins[t], swings[i][t]) as Python ints, deciding each coalition with
+    exact rationals: wins counts the winning coalitions of t players, swings
+    the losing coalitions of t players without i + 1 that i + 1 turns."""
+    n = len(weights)
+    w = [Fraction(float(x)) for x in weights]
+    q = Fraction(float(quota))
+    wins = [0] * (n + 1)
+    swings = [[0] * n for _ in range(n)]
+    for mask in range(1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        total = sum((w[i] for i in members), Fraction(0))
+        if total >= q:
+            wins[len(members)] += 1
+            continue
+        for i in range(n):
+            if not mask >> i & 1 and total + w[i] >= q:
+                swings[i][len(members)] += 1
+    return wins, swings
+
+
+def mp_voting_valuation(counts, theta, rho, dps=40):
+    """Gains, losses, expected production and the size totals P(S = T) times
+    the wins of each size, from ``voting_counts_by_masks``, as
+    ``mpmath.mpf`` at ``dps`` digits."""
+    wins, swings = counts
+    n = len(wins) - 1
+    with mpmath.workdps(dps):
+        norm = mpmath.beta(theta, rho)
+        f = [mpmath.beta(theta + t, rho + n - t) / norm for t in range(n + 1)]
+        gain = [mpmath.fsum(s * f[t + 1] for t, s in enumerate(row)) for row in swings]
+        loss = [mpmath.fsum(s * f[t] for t, s in enumerate(row)) for row in swings]
+        totals = [c * f[t] for t, c in enumerate(wins)]
+        return gain, loss, mpmath.fsum(totals), totals

@@ -8,13 +8,18 @@ import os
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dichotomy
-from dichotomy import cli, dvalue
+from dichotomy import cli, dvalue, production
+from dichotomy.coalition import CoalitionModel
+from dichotomy.dvalue import aggregate_gain_closed_form, exact_valuation
+from dichotomy.production import WeightedVotingGame
 
 
 def run_cli(argv, capsys):
@@ -186,17 +191,18 @@ class TestDvalue:
                 assert abs(est - ref) <= 5 * se
 
     def test_exact_beyond_cap_is_capacity_error(self, capsys):
-        weights = ",".join(["1"] * 30)
+        # 70 voters: past the enumeration cap and past the counts' n <= 66.
+        weights = ",".join(["1"] * 70)
         code, _, err = run_cli(
-            ["dvalue", "--game", f"weighted:{weights}:15", "--theta", "1", "--rho", "1"],
+            ["dvalue", "--game", f"weighted:{weights}:35", "--theta", "1", "--rho", "1"],
             capsys,
         )
         assert code == 5
         assert "enumeration" in err
 
     def test_enumeration_at_n22_stays_within_budget(self, tmp_path):
-        # 22 integer weights: the table is built by doubling, with no
-        # (2^22, 22) membership matrix.
+        # 22 integer weights: counted by size and weight, with no 2^22 table,
+        # so nothing warns of enumeration.
         weights = [(3 * k) % 7 + 1 for k in range(22)]
         game = "weighted:" + ",".join(map(str, weights)) + f":{sum(weights) // 2 + 1}"
         env = dict(os.environ, PYTHONPATH=str(Path(dichotomy.__file__).resolve().parents[1]))
@@ -211,22 +217,29 @@ class TestDvalue:
         assert code == 0
         assert maxrss_kb < 400 * 1024
         assert len(json.loads(out.read_text())["gamma"]) == 22
-        # One warning per enumerating call site, in the order the command
-        # reaches them: the valuation, then the size totals, which also give
-        # the aggregates v(N).
-        lines = err.read_text().splitlines()
-        message = "UserWarning: enumerating 2^22 subsets; expect noticeable cost above n = 20"
+        assert err.read_text() == ""
+
+    def test_enumeration_warns_once_per_enumerating_site(self):
+        # Weights of 10^5 put 22 x (quota + 1) cells past the counts' budget,
+        # so this n = 21 game enumerates.  One warning per enumerating call
+        # site, in the order the job reaches them: the valuation, then the
+        # size totals, which also give the aggregates v(N).
+        n = 21
+        game = WeightedVotingGame(np.full(n, 1e5), 1e5 * (n // 2 + 1))
+        assert production._voting_counts(game) is None
+        model = CoalitionModel(n, 1.0, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exact_valuation(model, game)
+            aggregate_gain_closed_form(model, game)
+        message = "enumerating 2^21 subsets; expect noticeable cost above n = 20"
+        assert [str(w.message) for w in caught] == [message] * 2
+        for w in caught:
+            assert Path(w.filename).resolve() == Path(dvalue.__file__).resolve()
         expected = [
             _dense_values_call(f) for f in (dvalue._exact_dense, dvalue._weighted_size_totals)
         ]
-        got = []
-        for where, source in zip(lines[::2], lines[1::2]):
-            path, lineno, text = where.split(":", 2)
-            assert Path(path).resolve() == Path(dvalue.__file__).resolve()
-            assert text.strip() == message
-            got.append((int(lineno), source.strip()))
-        assert len(lines) == 2 * len(got)
-        assert got == expected
+        assert [w.lineno for w in caught] == [lineno for lineno, _ in expected]
 
     def test_decimal_weights_decide_ties_exactly(self, capsys):
         # 0.1 + 0.7 < 0.8 in floats; read as decimals, {2, 3} meets the quota.

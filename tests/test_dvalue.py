@@ -75,9 +75,10 @@ class TestExactValuation:
         assert np.ptp(val.loss) == 0.0
 
     def test_capacity_error(self):
+        # 70 voters: past the enumeration cap and past the counts' n <= 66.
         with pytest.raises(CapacityError):
             exact_valuation(
-                CoalitionModel(30, 1.0, 1.0), WeightedVotingGame(np.ones(30), 15)
+                CoalitionModel(70, 1.0, 1.0), WeightedVotingGame(np.ones(70), 35)
             )
 
     def test_size_symmetric_scales_past_enumeration_cap(self):

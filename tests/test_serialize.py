@@ -16,6 +16,36 @@ def test_json_refuses_non_finite(bad):
         json_dumps({"ok": [1.0, 2], "nested": {"x": [0.5, bad]}})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float_lists_refuse_non_finite_as_items_do(bad):
+    floats = [0.5, bad, 0.5, -bad]
+    with pytest.raises(DomainError) as whole:
+        json_dumps(floats)
+    with pytest.raises(DomainError) as item:
+        json_dumps(floats + [None])  # not all floats: emitted item by item
+    assert str(whole.value) == str(item.value)
+
+
+def _float_lists():
+    rng = np.random.default_rng(22)
+    tiny = 2.2250738585072014e-308
+    yield rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+    yield rng.choice([0.0, -0.0, 0.1, -0.1, 5e-324, -5e-324, tiny / 3, 1.0], 500)
+    yield np.full(300, -0.0)
+    yield np.r_[0.0, np.full(10, 0.25)]
+    yield rng.random(2000).round(2)  # few distinct values, repeated
+    yield (rng.random(300) * tiny).astype(float)  # subnormals
+
+
+@pytest.mark.parametrize("values", list(_float_lists()))
+def test_float_lists_match_the_item_by_item_path(values):
+    floats = values.tolist()
+    # A trailing None sends the list item by item through the general path.
+    assert json_dumps(floats)[:-1] + ", null]" == json_dumps(floats + [None])
+    assert json_dumps(tuple(floats)) == json_dumps(floats)
+    assert json.loads(json_dumps(floats)) == floats
+
+
 @pytest.mark.parametrize(
     "text", ["two\nlines", "tab\there", "soh\x01", "nul\x00", "us\x1f", 'quote" back\\', "é"]
 )
