@@ -8,6 +8,8 @@ only, which encodes equal opportunity for the players.  Given p, the last
 two layers amount to n independent Bernoulli(p) memberships.
 """
 
+from __future__ import annotations
+
 import math
 from dataclasses import dataclass
 

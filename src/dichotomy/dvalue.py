@@ -10,7 +10,6 @@ enumeration is out of reach.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -246,19 +245,29 @@ def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float)
     per_player = acc[: 4 * n].reshape(2, 2, n)
     for done in range(0, count, rows):
         members = sample_memberships(model, rng, min(rows, count - done))
-        v_s = _scaled(game.values_for_memberships(members), scale)
+        sums = game._weight_sums(members)
+        # Marginals only on the rows where a flip may swing v: every other row
+        # adds +-0 to the column sums below, which run row by row, so they
+        # keep their bits.  A single column is summed in unrolled lanes,
+        # whose grouping depends on the row count, so n = 1 keeps every row.
+        swing = game._swing_rows(sums) if n > 1 else None
+        kept = slice(None) if swing is None else swing
+        if not isinstance(game, AdditiveGame):
+            flipped = _scaled(game._phi(game._flip_stats(sums[kept], members[kept])), scale)
+        # Every row is evaluated here, and the sums may be overwritten.
+        v_s = _scaled(game.values_for_memberships(members, _sums=sums), scale)
+        members = members[kept]
         # v(T) - v(T xor {i}): the gain of a member, minus the loss of an outsider.
         if isinstance(game, AdditiveGame):
             # Exactly +w_i or -w_i; a difference of two sums would lose a
             # small w_i beside a large one.
-            w = _scaled(game.player_values, scale)
-            diff = np.where(members, w, -w)
+            diff = (2 * members.view(np.int8) - 1) * _scaled(game.player_values, scale)
         else:
-            diff = v_s[:, None] - _scaled(game.flipped_values(members), scale)
+            diff = np.subtract(v_s[kept, None], flipped, out=flipped)
         gain = diff * members
-        for sums, x in zip(per_player, (gain, gain - diff)):
+        for block, x in zip(per_player, (gain, np.subtract(gain, diff, out=diff))):
             # Column sums of x and x^2; einsum needs no x * x temporary.
-            sums += np.einsum("ij->j", x), np.einsum("ij,ij->j", x, x)
+            block += np.einsum("ij->j", x), np.einsum("ij,ij->j", x, x)
         acc[4 * n :] += (v_s.sum(), (v_s * v_s).sum(), len(v_s))
     return acc
 
@@ -299,6 +308,8 @@ def mc_valuation(
         raise DomainError("need at least one sample")
     if streams < 1:
         raise DomainError("need at least one stream")
+    if max_workers < 1:
+        raise DomainError(f"need at least one worker thread, got {max_workers}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     streams = min(streams, samples)
@@ -308,6 +319,9 @@ def mc_valuation(
     base, extra = divmod(samples, streams)
     counts = [base + (1 if k < extra else 0) for k in range(streams)]
     if max_workers > 1:
+        # Imported here: a module-level import costs every cold start 4 ms.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
             parts = list(
                 pool.map(

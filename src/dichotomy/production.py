@@ -6,6 +6,8 @@ cap; the closed-form families avoid 2^n storage so that large labor markets,
 voting bodies and component systems stay tractable.
 """
 
+from __future__ import annotations
+
 import json
 import math
 import operator
@@ -65,16 +67,32 @@ class Game:
         row[0, [i - 1 for i in T.members]] = True
         return float(self.values_for_memberships(row)[0])
 
-    def values_for_memberships(self, members: np.ndarray) -> np.ndarray:
-        """Vectorized v over a (k, n) boolean membership matrix."""
-        return self._phi(self._weight_sums(members))
+    def values_for_memberships(self, members: np.ndarray, *, _sums=None) -> np.ndarray:
+        """Vectorized v over a (k, n) boolean membership matrix.
+
+        Monte Carlo passes the rows' weight sums as ``_sums`` when it has them
+        already; they may be overwritten.
+        """
+        return self._phi(self._weight_sums(members) if _sums is None else _sums)
 
     def flipped_values(self, members: np.ndarray) -> np.ndarray:
-        """(k, n) matrix of v(T xor {i}), the weight sum of T moved by -w_i or
-        +w_i; unlike a fresh evaluation of the flipped set, this may round a
-        non-integer weighted game at an exact quota tie to the other side."""
-        sign = 1 - 2 * members.view(np.int8)  # -1 inside T, +1 outside
-        return self._phi(self._weight_sums(members)[:, None] + sign * self._w)
+        """(k, n) matrix of v(T xor {i}) from the weight sum s of each row:
+        s - w_i for a member, s + w_i for an outsider (the same IEEE
+        operation as s + (-w_i)).  Unlike a fresh evaluation of the flipped
+        set, this may round a non-integer weighted game at an exact quota tie
+        to the other side."""
+        return self._phi(self._flip_stats(self._weight_sums(members), members))
+
+    def _flip_stats(self, sums: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """Weight sums of every T xor {i}, from the sums of the rows T."""
+        stat = (1 - 2 * members.view(np.int8)) * self._w  # -w_i in T, +w_i outside
+        stat += sums[:, None]
+        return stat
+
+    def _swing_rows(self, sums: np.ndarray) -> np.ndarray | None:
+        """The rows, by their weight sums, where a single flip may change v;
+        None when any row may.  v(T xor {i}) = v(T) on every other row."""
+        return None
 
     def value_bound(self) -> float:
         """An upper bound on |v(T)| over every coalition T."""
@@ -168,6 +186,17 @@ def _voting_counts(game: Game, swings: bool = True):
     return wins, swings
 
 
+def _reaches(weights: list[int], lo: int, hi: int) -> bool:
+    """Whether some subset of the non-negative integer weights weighs in
+    [lo, hi): bit W of ``reach`` records a subset of weight W < hi."""
+    if hi <= max(lo, 0):
+        return False
+    reach, below = 1, (1 << hi) - 1
+    for w in weights:
+        reach |= (reach << w) & below
+    return reach >> max(lo, 0) != 0
+
+
 def _popcounts(n: int) -> np.ndarray:
     """|T| for every bitmask T of n bits, as uint8."""
     return _subset_sums(np.ones(n, np.uint8))
@@ -223,6 +252,9 @@ class DenseTableGame(Game):
     def _phi(self, stat):
         return self.table[stat]
 
+    def _flip_stats(self, sums, members):
+        return sums[:, None] ^ self._w  # bit i - 1 cleared in T, set outside
+
     def value_bound(self) -> float:
         return _largest_magnitude(self.table)
 
@@ -258,6 +290,14 @@ class SizeSymmetricGame(Game):
         # Unit weights: a count, with no int64 copy of the membership matrix.
         return members.sum(axis=1)
 
+    def _swing_rows(self, sums):
+        # Size t can swing when u(t - 1), u(t) and u(t + 1) are not all equal.
+        steps = self.by_size[1:] != self.by_size[:-1]
+        swings = np.zeros(self.n + 1, dtype=bool)
+        swings[1:] |= steps
+        swings[:-1] |= steps
+        return swings[sums]
+
     def value_by_size(self) -> np.ndarray:
         return self.by_size
 
@@ -289,6 +329,13 @@ class WeightedVotingGame(Game):
     def _phi(self, stat):
         # 1.0 or 0.0 over the weight sums, a temporary: no second 8-byte array.
         return np.greater_equal(stat, self.quota, out=stat)
+
+    def _swing_rows(self, sums):
+        # Rounding is monotone, so every flip stat fl(s -+ w_i) lies between
+        # fl(s - w_max) and fl(s + w_max), which may overflow to inf.
+        w_max = self._w.max()
+        with np.errstate(over="ignore"):
+            return (sums - w_max < self.quota) & (sums + w_max >= self.quota)
 
     def value_bound(self) -> float:
         return 1.0
@@ -324,6 +371,10 @@ def _compare_pair(game: Game, i: int, j: int, op) -> bool:
         return True
     if isinstance(game, AdditiveGame):
         return bool(op(game.player_values[i - 1], game.player_values[j - 1]))
+    if isinstance(game, WeightedVotingGame):
+        decided = _integer_voting_pair(game, i, j, op)
+        if decided is not None:
+            return decided
     table = game.dense_values()
     # Axes (high bits, bit hi, middle bits, bit lo, low bits) of the masks.
     lo, hi = sorted((i - 1, j - 1))
@@ -332,6 +383,27 @@ def _compare_pair(game: Game, i: int, j: int, op) -> bool:
     if lo != i - 1:
         with_i, with_j = with_j, with_i
     return bool(np.all(op(with_i, with_j)))
+
+
+def _integer_voting_pair(game: WeightedVotingGame, i: int, j: int, op) -> bool | None:
+    """_compare_pair from the weights of a voting game, with no table; None
+    unless the weights are integers and n times the width of the reach
+    bitset stays within _COUNT_CELLS."""
+    if not _sums_are_exact(game.weights):
+        return None
+    wi, wj = int(game.weights[i - 1]), int(game.weights[j - 1])
+    others = [int(w) for k, w in enumerate(game.weights) if k not in (i - 1, j - 1)]
+    # Z + i and Z + j decide apart exactly when the weight of Z reaches
+    # ceil(q) with the heavier of the two but not with the lighter; no Z
+    # weighs more than the others together.
+    top = min(math.ceil(game.quota), sum(others) + max(wi, wj) + 1)
+    lo, hi = top - max(wi, wj), top - min(wi, wj)
+    if game.n * hi > _COUNT_CELLS:
+        return None
+    if not _reaches(others, lo, hi):
+        return True  # v(Z + i) = v(Z + j) for every Z: a tie
+    # Some Z wins with the heavier player only, and none the other way.
+    return bool(op(float(wi > wj), float(wj > wi)))
 
 
 def uniformly_outperforms(game: Game, i: int, j: int) -> bool:

@@ -323,3 +323,44 @@ def mp_voting_valuation(counts, theta, rho, dps=40):
         loss = [mpmath.fsum(s * f[t] for t, s in enumerate(row)) for row in swings]
         totals = [c * f[t] for t, c in enumerate(wins)]
         return gain, loss, mpmath.fsum(totals), totals
+
+
+# --- Monte Carlo, every row flipped --------------------------------------------
+#
+# The Monte Carlo stream as the library ran it before it skipped the rows
+# where no flip can swing v: two weight-sum passes per chunk, and every row
+# flipped as s + (-w_i) inside T and s + w_i outside.  The sampling, chunk
+# size and column sums are the library's, so with ``dvalue._mc_stream``
+# swapped for this one, ``mc_valuation`` must give the same bytes.
+
+def moved_flips(game, members) -> np.ndarray:
+    """v(T xor {i}) for every row and player, as s + sign * w_i."""
+    sign = 1 - 2 * members.view(np.int8)  # -1 inside T, +1 outside
+    return game._phi(game._weight_sums(members)[:, None] + sign * game._w)
+
+
+def flip_every_row_stream(model, game, rng, count, scale) -> np.ndarray:
+    from dichotomy.coalition import sample_memberships
+    from dichotomy.dvalue import _MC_CELLS
+    from dichotomy.production import AdditiveGame
+
+    def scaled(values):
+        return values if scale == 1.0 else values * scale
+
+    n = model.n
+    rows = max(1, _MC_CELLS // n)
+    acc = np.zeros(4 * n + 3)
+    per_player = acc[: 4 * n].reshape(2, 2, n)
+    for done in range(0, count, rows):
+        members = sample_memberships(model, rng, min(rows, count - done))
+        v_s = scaled(game.values_for_memberships(members))
+        if isinstance(game, AdditiveGame):
+            w = scaled(game.player_values)
+            diff = np.where(members, w, -w)
+        else:
+            diff = v_s[:, None] - scaled(moved_flips(game, members))
+        gain = diff * members
+        for sums, x in zip(per_player, (gain, gain - diff)):
+            sums += np.einsum("ij->j", x), np.einsum("ij,ij->j", x, x)
+        acc[4 * n :] += (v_s.sum(), (v_s * v_s).sum(), len(v_s))
+    return acc

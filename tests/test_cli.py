@@ -508,6 +508,8 @@ PROBES = [
     (5, ["dvalue", "--game", "{n30.json}", *_SHAPE], "error:"),
     (2, ["dvalue", "--game", "majority:5", *_SHAPE, "--method", "mc", "--samples", "0"], "error:"),
     (2, ["dvalue", "--game", "majority:5", *_SHAPE, "--method", "mc", "--streams", "0"], "error:"),
+    (2, ["dvalue", "--game", "majority:5", *_SHAPE, "--method", "mc", "--threads", "0"], "error:"),
+    (2, ["dvalue", "--game", "majority:5", *_SHAPE, "--method", "mc", "--threads", "-2"], "error:"),
     (2, ["dvalue", "--game", "majority:5", "--theta", "inf", "--rho", "1"], "error:"),
     (2, ["tax-rate", "--omega", "0.9", "--delta", "0.1", "--n", "0"], "error:"),
     (2, ["tax-rate", "--omega", "0.9", "--delta", "0.1", "--n", "nan"], "error:"),

@@ -273,6 +273,12 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             mc_valuation(CoalitionModel(2, 1, 1), DenseTableGame(2, [0, 1, 1, 2]), 0, seed=0)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_worker_count_validation(self, workers):
+        game = DenseTableGame(2, [0, 1, 1, 2])
+        with pytest.raises(DomainError, match="worker"):
+            mc_valuation(CoalitionModel(2, 1, 1), game, 10, seed=0, max_workers=workers)
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -314,6 +320,12 @@ class TestOrdering:
         report = ordering_check(model, game, 2, 4)
         assert report.gain_i == pytest.approx(report.gain_j, abs=1e-12)
         assert report.loss_i == pytest.approx(report.loss_j, abs=1e-12)
+
+    def test_integer_voting_beyond_the_enumeration_cap(self):
+        game = WeightedVotingGame([2] * 15 + [1] * 15, 23)
+        report = ordering_check(CoalitionModel(30, 2, 3), game, 1, 16)
+        assert report.outperforms and report.gain_ordered and report.loss_ordered
+        assert report.gain_i > report.gain_j and report.loss_i > report.loss_j
 
     def test_random_monotone_games_never_violate(self):
         rng = np.random.default_rng(17)

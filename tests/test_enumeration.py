@@ -158,6 +158,33 @@ def test_pair_checks_match_masks(make, seed):
         assert seen == {True, False}
 
 
+@pytest.mark.parametrize("n", [2, 6, 11, 16])
+def test_integer_voting_pair_checks_match_masks(n, monkeypatch):
+    # Weights 0..3 make zero and equal weights common; the quotas are
+    # attained by a coalition, half-integer, above the total and below
+    # every positive weight.
+    rng = np.random.default_rng(n)
+    w = rng.integers(0, 4, n).astype(float)
+    quotas = (float(w[rng.random(n) < 0.5].sum() or 1.0), w.sum() / 2 + 0.5, w.sum() + 1, 0.5)
+    seen = set()
+    for quota in quotas:
+        game = WeightedVotingGame(w, quota)
+        table = game.dense_values()
+        # Decided from the weights alone: no table is built.
+        monkeypatch.setattr(WeightedVotingGame, "dense_values", None)
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                for check, op in ((uniformly_outperforms, operator.ge),
+                                  (is_symmetric_pair, operator.eq)):
+                    got = check(game, i, j)
+                    assert got == masked_outperforms(table, n, i, j, op)
+                    seen.add(got)
+        monkeypatch.undo()
+    assert seen == {True, False}
+
+
 def test_voting_certificate_matches_masks():
     n = 10
     model = CoalitionModel(n, 2.0, 3.0)

@@ -1,8 +1,9 @@
-"""The package and its CLI load without scipy.
+"""The package and its CLI load without scipy, numpy.random or a thread pool.
 
 Importing scipy costs tens of megabytes and a third of a second, so only the
 two ``posterior`` functions that need an incomplete beta import
-``scipy.special``, when they run.  Each check runs in a fresh interpreter,
+``scipy.special``, when they run.  The sampler and the thread pool load when
+Monte Carlo runs.  Each check runs in a fresh interpreter,
 since this test process has scipy loaded already.
 """
 
@@ -35,6 +36,14 @@ def test_core_modules_load_no_scipy():
 def test_cli_loads_no_scipy_integrate():
     loaded = _loaded_after("import dichotomy.cli")
     assert "scipy.integrate" not in loaded
+
+
+def test_cli_loads_no_sampler_or_thread_pool():
+    # No CLI subcommand but --method mc samples or starts threads, and these
+    # two imports cost 15 to 30 ms of every cold start.
+    loaded = _loaded_after("import dichotomy.cli")
+    assert "numpy.random" not in loaded
+    assert "concurrent.futures" not in loaded
 
 
 def test_cli_and_posterior_load_no_scipy():

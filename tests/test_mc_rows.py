@@ -1,0 +1,103 @@
+"""Monte Carlo marginals on the rows where a flip can swing v.
+
+Skipping the other rows must leave every ``mc_valuation`` result byte for
+byte as the stream that flips every row gives it, and a skipped row must
+really have no marginal.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from dichotomy import dvalue
+from dichotomy.coalition import CoalitionModel, sample_memberships, spawn_streams
+from dichotomy.dvalue import mc_valuation
+from dichotomy.production import (
+    AdditiveGame,
+    DenseTableGame,
+    KOutOfNGame,
+    SizeSymmetricGame,
+    WeightedVotingGame,
+    random_dense_game,
+)
+
+from _oracles import flip_every_row_stream, moved_flips
+
+_BIG = 2.0**1000
+_RNG = np.random.default_rng(13)
+_TENTHS = np.array([0.1, 0.2, 0.3, 0.7, 0.4, 0.1, 0.9, 0.3])
+
+GAMES = {
+    # Size tables: non-monotone with flat runs, the two ends of k-of-n, n = 1.
+    "size-flat-runs": SizeSymmetricGame(9, [0, 1, 1, 3, 3, 3, -2, -2, 5, 5]),
+    "size-signed-zeros": SizeSymmetricGame(6, [0.0, -0.0, 0.0, 1.0, -0.0, -0.0, 0.0]),
+    "k-of-n-1": KOutOfNGame(30, 1),
+    "k-of-n-n": KOutOfNGame(30, 30),
+    "k-of-n-mid": KOutOfNGame(100, 47),
+    "size-n1": SizeSymmetricGame(1, [0.0, 2.5]),
+    # Integer and decimal voting weights: quota ties, zero weights, a quota
+    # above the total, and one voter below and at the quota.
+    "voting-integer": WeightedVotingGame(_RNG.integers(1, 10, 50).astype(float), 130),
+    "voting-attained-quota": WeightedVotingGame([5, 3, 3, 2, 1, 1, 4], 9),
+    "voting-zero-weights": WeightedVotingGame([0, 2, 0, 3, 1, 0, 2], 3),
+    "voting-above-total": WeightedVotingGame([1, 2, 3, 4], 100),
+    "voting-dyadic-ties": WeightedVotingGame([0.5, 0.25, 1.5, 0.75, 0.125], 1.0),
+    "voting-tenths": WeightedVotingGame(_TENTHS, 0.6),
+    "voting-tenths-sum": WeightedVotingGame(_TENTHS, float(_TENTHS[:4].sum())),
+    "voting-n1-short": WeightedVotingGame([3.0], 5.0),
+    "voting-n1-wins": WeightedVotingGame([3.0], 2.0),
+    "additive": AdditiveGame(_RNG.uniform(-1.0, 2.0, 40)),
+    "dense": random_dense_game(7, _RNG),
+    "dense-16": random_dense_game(16, _RNG),
+    # Games scaled by 2^1000, which the sampler scales back.
+    "additive-huge": AdditiveGame(np.array([1.5, 0.25, 3.0, 2.0, 0.75]) * _BIG),
+    "size-huge": SizeSymmetricGame(5, np.array([0.0, 1.0, 3.5, 3.5, 7.25, 8.0]) * _BIG),
+    "dense-huge": DenseTableGame(5, random_dense_game(5, _RNG).table * _BIG),
+}
+
+
+def _json(v) -> str:
+    return json.dumps(v.to_json_dict())  # keeps the sign of a zero
+
+
+@pytest.mark.parametrize("name", GAMES)
+@pytest.mark.parametrize("streams, workers", [(1, 1), (8, 1), (8, 2)])
+def test_same_bytes_as_flipping_every_row(name, streams, workers, monkeypatch):
+    game = GAMES[name]
+    for theta, rho in ((2.0, 3.0), (0.4, 0.6)):
+        model = CoalitionModel(game.n, theta, rho)
+        # Several chunks per stream, the last one partial.
+        samples = 3 * max(1, dvalue._MC_CELLS // game.n) + 17
+        got = _json(mc_valuation(model, game, samples, 5, streams, workers))
+        with monkeypatch.context() as m:
+            m.setattr(dvalue, "_mc_stream", flip_every_row_stream)
+            want = _json(mc_valuation(model, game, samples, 5, streams, workers))
+        assert got == want
+
+
+def _membership_rows(game, count=3000):
+    rng = spawn_streams(2, 1)[0]
+    n = game.n
+    rows = sample_memberships(CoalitionModel(n, 0.7, 0.9), rng, count)
+    return np.vstack([np.zeros((1, n), bool), np.ones((1, n), bool), rows])
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_flips_move_the_weight_sum_as_before(name):
+    game = GAMES[name]
+    members = _membership_rows(game)
+    assert game.flipped_values(members).tobytes() == moved_flips(game, members).tobytes()
+
+
+@pytest.mark.parametrize("name", GAMES)
+def test_skipped_rows_have_no_marginal(name):
+    game = GAMES[name]
+    members = _membership_rows(game)
+    swing = game._swing_rows(game._weight_sums(members))
+    if isinstance(game, (AdditiveGame, DenseTableGame)):
+        assert swing is None
+        return
+    v = game.values_for_memberships(members)
+    skipped = ~swing
+    assert np.all(game.flipped_values(members)[skipped] == v[skipped, None])

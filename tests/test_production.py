@@ -207,7 +207,8 @@ class TestOutperformance:
 
     def test_pair_check_warns_once(self, monkeypatch):
         monkeypatch.setattr(production, "_ENUMERATION_WARN", 3)
-        game = WeightedVotingGame([3, 2, 2, 1], 4)
+        # Integer weights are decided without a table; a decimal one is not.
+        game = WeightedVotingGame([3, 2, 2, 0.5], 4)
         for check in (is_symmetric_pair, uniformly_outperforms):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -216,9 +217,20 @@ class TestOutperformance:
             assert "enumerating 2^4 subsets" in str(caught[0].message)
 
     def test_pair_check_beyond_cap(self):
-        game = WeightedVotingGame(np.ones(25), 13)
+        game = WeightedVotingGame(np.full(25, 0.5), 6.5)
         with pytest.raises(CapacityError):
             is_symmetric_pair(game, 1, 2)
+
+    def test_integer_voting_pair_checks_need_no_table(self):
+        # Two-vote and one-vote members of a body of 30; the CapacityError
+        # that a 2^30 table would raise must not surface.
+        game = WeightedVotingGame([2] * 15 + [1] * 15, 23)
+        assert uniformly_outperforms(game, 1, 16)
+        assert not uniformly_outperforms(game, 16, 1)
+        assert not is_symmetric_pair(game, 1, 16)
+        assert is_symmetric_pair(game, 1, 2) and is_symmetric_pair(game, 16, 17)
+        # A quota beyond every weight leaves v = 0, so every pair ties.
+        assert is_symmetric_pair(WeightedVotingGame(np.ones(40), 41), 1, 2)
 
 
 def _fresh_flips(game, members):
