@@ -46,12 +46,7 @@ from .apps import (
     voting_power,
 )
 from .coalition import CoalitionModel
-from .dvalue import (
-    aggregate_gain_closed_form,
-    aggregate_loss_closed_form,
-    exact_valuation,
-    mc_valuation,
-)
+from .dvalue import _closed_form_aggregates, exact_valuation, mc_valuation
 from .errors import CapacityError, DataError, DomainError, RangeError, SingularSystemError
 from .posterior import LIMIT_CHECKS
 from .production import (
@@ -244,11 +239,11 @@ def _cmd_dvalue(args) -> int:
         )
     report = val.to_json_dict()
     try:
-        report["aggregate_gamma_closed_form"] = aggregate_gain_closed_form(model, game)
-        report["aggregate_lambda_closed_form"] = aggregate_loss_closed_form(model, game)
+        gain, loss = _closed_form_aggregates(model, game)
     except CapacityError:
-        report["aggregate_gamma_closed_form"] = None
-        report["aggregate_lambda_closed_form"] = None
+        gain = loss = None
+    report["aggregate_gamma_closed_form"] = gain
+    report["aggregate_lambda_closed_form"] = loss
     _write_out(json_dumps(report) + "\n", args.out)
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from .production import (
     ENUMERATION_CAP,
     Game,
     _COUNT_MAX_N,
+    _mask_weights,
     _popcounts,
     _voting_counts,
     uniformly_outperforms,
@@ -110,15 +111,19 @@ def _weighted_size_totals(game: Game, pmf: np.ndarray) -> np.ndarray:
     if counts is not None:
         return _subset_weights(pmf) * counts[0]
     table = game.dense_values()
-    sizes = _popcounts(n)
-    w = _subset_weights(pmf)
-    return np.bincount(sizes, weights=w[sizes] * table, minlength=n + 1)
+    weighted = _mask_weights(_subset_weights(pmf))  # P(S = T)
+    weighted *= table
+    return np.bincount(_popcounts(n), weights=weighted, minlength=n + 1)
+
+
+def _size_totals(model: CoalitionModel, game: Game) -> np.ndarray:
+    _check_model_game(model, game)
+    return _weighted_size_totals(game, _size_pmf_vector(model))
 
 
 def expected_production(model: CoalitionModel, game: Game) -> float:
     """Mean of v(S) under the coalition model."""
-    _check_model_game(model, game)
-    return float(_weighted_size_totals(game, _size_pmf_vector(model)).sum())
+    return float(_size_totals(model, game).sum())
 
 
 def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndarray, float]:
@@ -136,19 +141,20 @@ def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndar
             f"integer voting weights are counted up to n = {_COUNT_MAX_N}"
         )
     table = game.dense_values()
-    weight = _subset_weights(_size_pmf_vector(model))[_popcounts(n)]  # P(S = T)
+    weight = _mask_weights(_subset_weights(_size_pmf_vector(model)))  # P(S = T)
+    # Pair c of player i + 1 is (T, T + i), where T spreads the bits of c
+    # around bit i: T has |c| members, so P(S = T) = weight[c] and
+    # P(S = T + i) = weight[2^(n-1) + c], whichever the player.
+    half = 1 << (n - 1)
+    outside, inside = weight[:half], weight[half:]
     gain, loss = np.empty(n), np.empty(n)
-    step, gained = np.empty(1 << (n - 1)), np.empty(1 << (n - 1))
+    step, gained = np.empty(half), np.empty(half)
     for i in range(n):
-        # Over the pairs (T, T + i) of masks without and with player i + 1,
-        # in mask order; each term is one weighted marginal, so nothing
-        # cancels, and P(S = T + i) is read at the mask with one more member.
+        # Each term is one weighted marginal, so nothing cancels.
         t = table.reshape(-1, 2, 1 << i)
-        w = weight.reshape(-1, 2, 1 << i)
-        s = step.reshape(-1, 1 << i)
-        np.subtract(t[:, 1], t[:, 0], out=s)
-        np.multiply(w[:, 1], s, out=gained.reshape(s.shape))
-        s *= w[:, 0]
+        np.subtract(t[:, 1], t[:, 0], out=step.reshape(-1, 1 << i))
+        np.multiply(inside, step, out=gained)
+        step *= outside
         gain[i], loss[i] = gained.sum(), step.sum()
     weight *= table
     return gain, loss, float(weight.sum())
@@ -196,10 +202,9 @@ def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
     )
 
 
-def _aggregate_closed_form(model: CoalitionModel, game: Game, which: str) -> float:
-    _check_model_game(model, game)
+def _closed_form(model: CoalitionModel, weighted: np.ndarray, which: str) -> float:
+    """One aggregate from the size totals of _weighted_size_totals."""
     n, th, rh = model.n, model.theta, model.rho
-    weighted = _weighted_size_totals(game, _size_pmf_vector(model))
     t = np.arange(n + 1, dtype=float)
     if which == "gain":
         denom = rh + (n - 1.0 - t)  # the integer part first, so rho keeps its digits
@@ -222,12 +227,19 @@ def _aggregate_closed_form(model: CoalitionModel, game: Game, which: str) -> flo
 
 def aggregate_gain_closed_form(model: CoalitionModel, game: Game) -> float:
     """Sum of all marginal gains via the observable reformulation."""
-    return _aggregate_closed_form(model, game, "gain")
+    return _closed_form(model, _size_totals(model, game), "gain")
 
 
 def aggregate_loss_closed_form(model: CoalitionModel, game: Game) -> float:
     """Sum of all marginal losses via the observable reformulation."""
-    return _aggregate_closed_form(model, game, "loss")
+    return _closed_form(model, _size_totals(model, game), "loss")
+
+
+def _closed_form_aggregates(model: CoalitionModel, game: Game) -> tuple[float, float]:
+    """(aggregate_gain_closed_form, aggregate_loss_closed_form) from one size
+    law and one pass of size totals."""
+    weighted = _size_totals(model, game)
+    return _closed_form(model, weighted, "gain"), _closed_form(model, weighted, "loss")
 
 
 def _scaled(values: np.ndarray, scale: float) -> np.ndarray:

@@ -115,7 +115,7 @@ class Game:
                 stacklevel=2,
             )
         if self.size_only:
-            return self._phi(_popcounts(self.n))
+            return _mask_weights(self.value_by_size())
         if _sums_are_exact(self._w):
             # Any order of addition gives the same sums, so doubling matches
             # the matrix product bit for bit without the (2^n, n) matrix.
@@ -198,8 +198,19 @@ def _reaches(weights: list[int], lo: int, hi: int) -> bool:
 
 
 def _popcounts(n: int) -> np.ndarray:
-    """|T| for every bitmask T of n bits, as uint8."""
-    return _subset_sums(np.ones(n, np.uint8))
+    """|T| for every bitmask T of n bits, as intp: the index type of
+    ``np.bincount``, which would otherwise convert a copy on each call."""
+    return _subset_sums(np.ones(n, np.intp))
+
+
+def _mask_weights(f: np.ndarray) -> np.ndarray:
+    """f[|T|] for every bitmask T of len(f) - 1 bits, in mask order, with no
+    index of 2^n entries: row a of a small table holds f[a + |low|] over the
+    low half of the bits, and the rows are gathered by |high| of the rest."""
+    n = len(f) - 1
+    k = n // 2
+    rows = f[np.arange(n - k + 1)[:, None] + _popcounts(k)]
+    return rows[_popcounts(n - k)].reshape(-1)
 
 
 def _sums_are_exact(w: np.ndarray) -> bool:

@@ -16,7 +16,7 @@ from dichotomy.dvalue import (
     mc_valuation,
     ordering_check,
 )
-from dichotomy.errors import CapacityError, DomainError
+from dichotomy.errors import CapacityError, DomainError, SingularSystemError
 from dichotomy.production import (
     AdditiveGame,
     DenseTableGame,
@@ -173,6 +173,41 @@ class TestAggregates:
         assert aggregate_loss_closed_form(model, game) == pytest.approx(
             aggregate_loss_closed_form(model, dense), rel=1e-12
         )
+
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            KOutOfNGame(1000, 501),
+            AdditiveGame([1.0, 2.5, 0.25]),
+            WeightedVotingGame([3, 2, 2, 1], 4),
+            WeightedVotingGame([0.3, 0.7, 0.4], 0.5),
+            random_dense_game(10, np.random.default_rng(3)),
+        ],
+        ids=["majority", "additive", "voting-integer", "voting-decimal", "dense"],
+    )
+    @pytest.mark.parametrize("shape", [(2.0, 3.0), (1e6, 1.0), (1.0, 1e6)])
+    def test_both_aggregates_from_one_pass(self, game, shape, monkeypatch):
+        model = CoalitionModel(game.n, *shape)
+        expected = [aggregate_gain_closed_form(model, game), aggregate_loss_closed_form(model, game)]
+        calls = []
+        for name in ("_size_pmf_vector", "_weighted_size_totals"):
+            fn = getattr(dvalue, name)
+            monkeypatch.setattr(dvalue, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+        got = dvalue._closed_form_aggregates(model, game)
+        assert list(map(float.hex, got)) == list(map(float.hex, expected))
+        assert len(calls) == 2  # one size law, one pass of size totals
+
+    @pytest.mark.parametrize("shape", [(1.0, 1e-13), (1e-13, 1.0)])
+    def test_both_aggregates_raise_as_the_first_would(self, shape):
+        model = CoalitionModel(5, *shape)
+        game = KOutOfNGame(5, 3)
+        first = aggregate_gain_closed_form if shape[1] < 1e-12 else aggregate_loss_closed_form
+        with pytest.raises(SingularSystemError) as expected:
+            first(model, game)
+        with pytest.raises(SingularSystemError) as got:
+            dvalue._closed_form_aggregates(model, game)
+        assert str(got.value) == str(expected.value)
 
 
 class TestExpectedProduction:

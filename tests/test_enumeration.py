@@ -93,25 +93,50 @@ def test_table_matches_the_bit_matrix(name, n):
     assert game.dense_values().tobytes() == bit_matrix_values(game).tobytes()
 
 
-@pytest.mark.parametrize(
-    "name, n", [(name, n) for name in _GAMES for n in _SIZES] + [("dense", 16)]
-)
-def test_enumerated_valuation_matches_per_player_masks(name, n):
+@pytest.mark.parametrize("n", range(1, 21))
+def test_mask_weights_match_a_popcount_gather(n):
+    # n = 1 has no low bits, and odd n splits its bits unevenly.
+    f = np.random.default_rng(n).random(n + 1)
+    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.int64))
+    assert production._mask_weights(f).tobytes() == f[sizes].tobytes()
+    assert production._popcounts(n).dtype == np.intp
+    assert np.array_equal(production._popcounts(n), sizes)
+
+
+def _mask_cases():
+    # Lopsided shapes put nearly all the weight on a few sizes, and
+    # (0.05, 0.05) on both ends.
+    games = [(name, n) for name in _GAMES for n in _SIZES] + [("dense", 16), ("dense", 17)]
+    for shape in [(2.5, 1.5), (1e6, 1.0), (1.0, 1e6), (0.05, 0.05)]:
+        for name, n in games:
+            tag = "" if shape == (2.5, 1.5) else "-{:g}:{:g}".format(*shape)
+            yield pytest.param(name, n, shape, id=f"{name}-{n}{tag}")
+
+
+@pytest.mark.parametrize("name, n, shape", _mask_cases())
+def test_enumerated_valuation_matches_per_player_masks(name, n, shape):
     # From n = 16 on, a sum over a strided view of the masks holding a player
     # adds in another order than over those masks gathered in mask order.
     game = _game(name, n)
-    if game.size_only or isinstance(game, AdditiveGame):
+    # Integer voting games are counted; the counts agree with the masks bit
+    # for bit at (2.5, 1.5), but not at every shape, so elsewhere their
+    # table is enumerated.
+    counted = shape != (2.5, 1.5) and production._voting_counts(game) is not None
+    if game.size_only or isinstance(game, AdditiveGame) or counted:
         game = DenseTableGame(n, game.dense_values())  # force enumeration
-    model = CoalitionModel(n, 2.5, 1.5)
+    model = CoalitionModel(n, *shape)
     val = exact_valuation(model, game)
-    gain, loss, production_ = masked_exact_dense(model, bit_matrix_values(game))
+    table = bit_matrix_values(game)
+    gain, loss, production_ = masked_exact_dense(model, table)
     assert val.gain.tobytes() == gain.tobytes()
     assert val.loss.tobytes() == loss.tobytes()
     assert val.aggregate_gain == float(gain.sum())
     assert val.aggregate_loss == float(loss.sum())
     assert val.expected_production == production_
-    totals = masked_size_totals(model, bit_matrix_values(game))
+    totals = masked_size_totals(model, table)
     assert expected_production(model, game) == float(totals.sum())
+    by_masks = dvalue._weighted_size_totals(DenseTableGame(n, table), _size_pmf_vector(model))
+    assert by_masks.tobytes() == totals.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 7, 12])
@@ -234,3 +259,13 @@ class TestMemory:
     def test_valuation_and_aggregates(self, fn):
         model, game = self._setup()
         assert _peak_tables(lambda: fn(model, game), self.n) <= 8
+
+    @pytest.mark.parametrize(
+        "fn", [exact_valuation, aggregate_gain_closed_form, aggregate_loss_closed_form]
+    )
+    def test_dense_table_paths(self, fn):
+        # Integer voting games are counted, with no table; a stored table
+        # takes the enumeration paths, and is itself allocated beforehand.
+        model = CoalitionModel(self.n, 2.0, 3.0)
+        game = random_dense_game(self.n, np.random.default_rng(5))
+        assert _peak_tables(lambda: fn(model, game), self.n) <= 3
