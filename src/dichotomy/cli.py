@@ -45,8 +45,8 @@ from .apps import (
     load_toll_scenario,
     voting_power,
 )
-from .coalition import CoalitionModel
-from .dvalue import _closed_form_aggregates, exact_valuation, mc_valuation
+from .coalition import CoalitionModel, _size_pmf_vector
+from .dvalue import _closed_form_aggregates, _exact_valuation, mc_valuation
 from .errors import CapacityError, DataError, DomainError, RangeError, SingularSystemError
 from .posterior import LIMIT_CHECKS
 from .production import (
@@ -230,18 +230,20 @@ def _cmd_series(args) -> int:
 def _cmd_dvalue(args) -> int:
     game = parse_game_spec(args.game)
     model = CoalitionModel(game.n, args.theta, args.rho)
+    pmf = _size_pmf_vector(model)  # one size law for the valuation and the closed forms
     if args.method == "exact":
-        val = exact_valuation(model, game)
+        val = _exact_valuation(model, game, pmf)
     else:
         val = mc_valuation(
             model, game, args.samples, args.seed,
             streams=args.streams, max_workers=args.threads,
         )
-    report = val.to_json_dict()
     try:
-        gain, loss = _closed_form_aggregates(model, game)
+        gain, loss = _closed_form_aggregates(model, game, pmf)
     except CapacityError:
         gain = loss = None
+    del pmf  # n + 1 floats, freed before the report's lists are built
+    report = val.to_json_dict()
     report["aggregate_gamma_closed_form"] = gain
     report["aggregate_lambda_closed_form"] = loss
     _write_out(json_dumps(report) + "\n", args.out)

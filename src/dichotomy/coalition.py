@@ -209,6 +209,15 @@ def _log_mode_factor(a: float, b: float) -> float:
     )
 
 
+def _mode_factor(a: float, b: float) -> float:
+    """exp(_log_mode_factor(a, b)) without the exp of a log of order log(a
+    + b), which would magnify the log's last-place rounding into the factor."""
+    lo, hi = sorted((a, b))
+    return math.sqrt(lo * (hi / (a + b)) / (2.0 * math.pi)) * math.exp(
+        _stirlerr(a + b) - _stirlerr(a) - _stirlerr(b)
+    )
+
+
 def _bd0(x: float, m: float, d: float) -> float:
     """x log(x / m) + m - x for the difference d = x - m (Loader's deviance
     term); near x = m it is summed as a series in v = d / (x + m)."""

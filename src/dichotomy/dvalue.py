@@ -126,14 +126,16 @@ def expected_production(model: CoalitionModel, game: Game) -> float:
     return float(_size_totals(model, game).sum())
 
 
-def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndarray, float]:
+def _exact_dense(
+    model: CoalitionModel, game: Game, pmf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float]:
     n = model.n
     counts = _voting_counts(game)
     if counts is not None:
         # A swing of player i + 1 from a coalition T of t others weighs
         # P(S = T + i) in the gain and P(S = T) in the loss.
         wins, swings = counts
-        f = _subset_weights(_size_pmf_vector(model))
+        f = _subset_weights(pmf)
         return swings @ f[1:], swings @ f[:-1], float((f * wins).sum())
     if n > ENUMERATION_CAP:
         raise CapacityError(
@@ -141,7 +143,7 @@ def _exact_dense(model: CoalitionModel, game: Game) -> tuple[np.ndarray, np.ndar
             f"integer voting weights are counted up to n = {_COUNT_MAX_N}"
         )
     table = game.dense_values()
-    weight = _mask_weights(_subset_weights(_size_pmf_vector(model)))  # P(S = T)
+    weight = _mask_weights(_subset_weights(pmf))  # P(S = T)
     # Pair c of player i + 1 is (T, T + i), where T spreads the bits of c
     # around bit i: T has |c| members, so P(S = T) = weight[c] and
     # P(S = T + i) = weight[2^(n-1) + c], whichever the player.
@@ -179,8 +181,14 @@ def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
     additive games take closed-form routes that scale to any n.
     """
     _check_model_game(model, game)
+    # Additive games need no size law.
+    pmf = None if isinstance(game, AdditiveGame) else _size_pmf_vector(model)
+    return _exact_valuation(model, game, pmf)
+
+
+def _exact_valuation(model: CoalitionModel, game: Game, pmf: np.ndarray | None) -> Valuation:
+    """exact_valuation from the size pmf of the model (None for additive games)."""
     if game.size_only:
-        pmf = _size_pmf_vector(model)
         gain, loss = _exact_size_symmetric(game, pmf)
         production = float(_weighted_size_totals(game, pmf).sum())
     elif isinstance(game, AdditiveGame):
@@ -189,7 +197,7 @@ def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
         loss = game.player_values * (model.rho / (model.theta + model.rho))
         production = float(gain.sum())
     else:
-        gain, loss, production = _exact_dense(model, game)
+        gain, loss, production = _exact_dense(model, game, pmf)
     gain.setflags(write=False)
     loss.setflags(write=False)
     return Valuation(
@@ -200,6 +208,15 @@ def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
         expected_production=production,
         method="exact",
     )
+
+
+def _fsum_nonzero(terms: np.ndarray) -> float:
+    """math.fsum of the terms, over the non-zero ones alone: fsum is exact,
+    so zeros change no bit, and they are half the terms of a majority game.
+    When every term is zero, all are summed, so even the sign of the zero is
+    that of the full sum."""
+    nonzero = terms[terms != 0.0]
+    return math.fsum(nonzero if len(nonzero) else terms)
 
 
 def _closed_form(model: CoalitionModel, weighted: np.ndarray, which: str) -> float:
@@ -215,14 +232,14 @@ def _closed_form(model: CoalitionModel, weighted: np.ndarray, which: str) -> flo
         coef = np.empty(n + 1)
         coef[:n] = (t[:n] * (th + rh - 1.0) - n * th) / denom[:n]
         coef[n] = n  # the grand coalition's own term, n P(S = N) v(N)
-        return math.fsum(coef * weighted)
+        return _fsum_nonzero(coef * weighted)
     denom = th + (t - 1.0)
     if np.any(np.abs(denom[1:]) < 1e-12):
         raise SingularSystemError("coefficient denominator theta + t - 1 vanishes")
     coef = np.zeros(n + 1)
     coef[1:] = (t[1:] * (th + rh - 1.0) - n * (th - 1.0)) / denom[1:]
     # v(empty) = 0 by construction, so the empty coalition adds no term.
-    return math.fsum(coef * weighted)
+    return _fsum_nonzero(coef * weighted)
 
 
 def aggregate_gain_closed_form(model: CoalitionModel, game: Game) -> float:
@@ -235,10 +252,13 @@ def aggregate_loss_closed_form(model: CoalitionModel, game: Game) -> float:
     return _closed_form(model, _size_totals(model, game), "loss")
 
 
-def _closed_form_aggregates(model: CoalitionModel, game: Game) -> tuple[float, float]:
-    """(aggregate_gain_closed_form, aggregate_loss_closed_form) from one size
-    law and one pass of size totals."""
-    weighted = _size_totals(model, game)
+def _closed_form_aggregates(
+    model: CoalitionModel, game: Game, pmf: np.ndarray
+) -> tuple[float, float]:
+    """(aggregate_gain_closed_form, aggregate_loss_closed_form) from the
+    model's size pmf and one pass of size totals."""
+    _check_model_game(model, game)
+    weighted = _weighted_size_totals(game, pmf)
     return _closed_form(model, weighted, "gain"), _closed_form(model, weighted, "loss")
 
 

@@ -7,6 +7,11 @@ that check the advertised limit behaviour along a ladder of market sizes:
 degeneracy at the observed rate, the scaled-variance limit, the response of
 the mean to the tax rate, the semivariance sandwich, and the squared
 MAD-to-variance ratio.
+
+Everything here is numpy and the standard library, except the median (the
+inverse incomplete beta) and the semivariances of shapes past 2^36 (the
+incomplete beta): those import ``scipy.special`` when they run, so that no
+CLI command on markets up to about 1e11 loads scipy.
 """
 
 import math
@@ -14,7 +19,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from .coalition import PosteriorRate, _log_mode_factor
+from .coalition import _BLOCK, PosteriorRate, _log_mode_factor, _mode_factor
 from .errors import DomainError
 from .serialize import csv_line
 from .taxpolicy import asymptotic_tax_rule, solve_theta_rho
@@ -94,17 +99,71 @@ def mad_about_mean(a: float, b: float) -> float:
     return 2.0 * math.exp(_log_mode_factor(a, b)) / (a + b)
 
 
+def _lower_semivariance_series(a: float, b: float) -> float:
+    """Lower semivariance of Beta(a, b) for a <= b, as a sum of positive terms.
+
+    DLMF 8.17.8 at x = mu = a / (a + b), with nu = b / (a + b), gives
+    I_mu(a, b) = dens / a * sum_{k >= 0} t_k, where t_0 = 1, t_{k+1} =
+    t_k (a + k mu) / (a + 1 + k) and dens = mu^a nu^b / B(a, b).  Put into
+    var I_mu(a, b) + dens mu (2 mu - 1) / (a (a + b + 1)), with mu / a
+    written 1 / (a + b) so that a tiny a loses nothing, the negative term
+    cancels against t_0 exactly and leaves
+    dens (mu + nu sum_{k >= 1} t_k) / ((a + b) (a + b + 1)).
+    The logs of the term ratios are summed blockwise; past term K the ratios
+    fall, so the rest of the series is below t_K (a + 1 + K) / (1 + K nu),
+    and the sum stops once that is below 2^-60 of it.  Since nu >= 1/2, this
+    takes about sqrt(220 a) terms.
+    """
+    total = a + b
+    mu, nu = a / total, b / total
+    k = np.arange(_BLOCK, dtype=float)
+    tail = log_t = 0.0
+    start = 0
+    while True:
+        j = k + start
+        # The ratio is 1 - excess.  Where it is below one half, log1p of
+        # the excess would magnify its rounding: take the log of the ratio.
+        excess = (1.0 + j * nu) / (a + 1.0 + j)
+        near = excess <= 0.5
+        terms = np.log1p(-excess, where=near, out=np.empty(_BLOCK))
+        with np.errstate(divide="ignore"):  # a ratio that underflows ends the terms
+            np.log((a + j * mu) / (a + 1.0 + j), where=~near, out=terms)
+        np.cumsum(terms, out=terms)
+        terms += log_t
+        log_t = terms[-1]
+        np.exp(terms, out=terms)
+        tail += float(terms.sum())
+        start += _BLOCK
+        rest = terms[-1] * (a + 1.0 + start) / (1.0 + start * nu)
+        if not rest > 2.0**-60 * tail:  # also ends at a zero tail or a nan shape
+            break
+    return _mode_factor(a, b) * (mu + nu * tail) / total / (total + 1.0)
+
+
+# Beyond this smaller shape (markets of about 1e11 and more) the series
+# would need more than 3e6 terms (65 ms), and the incomplete beta takes over.
+_SERIES_MAX_SHAPE = 2.0**36
+
+
 def semivariances(a: float, b: float) -> tuple[float, float]:
     """Lower and upper one-sided second central moments about the mean.
 
-    The truncated moments below the mean reduce to regularized incomplete
-    betas at shifted shapes; combining them analytically leaves a single
-    incomplete-beta call and no cancellation, at every shape size.
+    The smaller side is summed as a series of positive terms, the lower side
+    when a <= b and, by the reflection x -> 1 - x, the upper side otherwise;
+    the other side is the variance less it, which keeps at least half the
+    variance and so does not cancel.  Only when both shapes pass 2^36 do
+    the truncated moments go through scipy's regularized incomplete beta.
     """
-    from scipy.special import betainc  # scipy loads only where it is needed
-
     _check_shapes(a, b)
     var = beta_variance(a, b)
+    if min(a, b) <= _SERIES_MAX_SHAPE:
+        if a <= b:
+            lower = _lower_semivariance_series(a, b)
+            return lower, var - lower
+        upper = _lower_semivariance_series(b, a)
+        return var - upper, upper
+    from scipy.special import betainc  # scipy loads only where it is needed
+
     mu = a / (a + b)
     dens = math.exp(_log_mode_factor(a, b))  # mu^a (1-mu)^b / B(a,b)
     lower = var * float(betainc(a, b, mu)) + dens * mu * (2.0 * mu - 1.0) / (

@@ -126,6 +126,32 @@ def mp_lower_semivariance(a: float, b: float):
         return +(sd * sd * mpmath.quad(integrand, knots))
 
 
+def mp_semivariances(a: float, b: float):
+    """Lower and upper semivariances of Beta(a, b) from mpmath, as mpf.
+
+    While a shape is below 10, from mpmath's regularized incomplete beta at
+    50 digits, as var I_mu(a, b) + dens mu (2 mu - 1) / (a (a + b + 1)).
+    When both are larger, mpmath's hypergeometric series for the incomplete
+    beta cancels too much to converge, and the lower side comes from
+    ``mp_lower_semivariance``; at shapes from 2 up the two agree to 20
+    digits.  The upper side is the variance less the lower.
+    """
+    with mpmath.workdps(50):
+        ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+        mu = ma / (ma + mb)
+        var = ma * mb / ((ma + mb) ** 2 * (ma + mb + 1))
+        if min(a, b) < 10:
+            dens = mpmath.exp(
+                ma * mpmath.log(mu) + mb * mpmath.log1p(-mu) - mpmath.log(mpmath.beta(ma, mb))
+            )
+            lower = var * mpmath.betainc(ma, mb, 0, mu, regularized=True) + dens * mu * (
+                2 * mu - 1
+            ) / (ma * (ma + mb + 1))
+        else:
+            lower = mp_lower_semivariance(a, b)
+        return lower, var - lower
+
+
 # --- the balanced-budget sweep, one scalar cell at a time ---------------------
 #
 # The per-cell solve as the library did it before the array solver: Python

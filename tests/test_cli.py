@@ -242,16 +242,21 @@ class TestDvalue:
         assert [w.lineno for w in caught] == [lineno for lineno, _ in expected]
 
     def test_one_size_law_for_both_aggregates(self, capsys, monkeypatch):
-        # One size law for the valuation and one for both closed forms.
+        # One size law for the valuation and both closed forms, whichever
+        # module asks for it.
         calls = []
         pmf = dvalue._size_pmf_vector
-        monkeypatch.setattr(dvalue, "_size_pmf_vector", lambda m: calls.append(1) or pmf(m))
-        code, out, _ = run_cli(
-            ["dvalue", "--game", "majority:101", "--theta", "2", "--rho", "3"], capsys
-        )
-        assert code == 0
-        assert json.loads(out)["aggregate_lambda_closed_form"] is not None
-        assert len(calls) == 2
+        for module in (cli, dvalue):
+            monkeypatch.setattr(module, "_size_pmf_vector", lambda m: calls.append(1) or pmf(m))
+        for method in ("exact", "mc"):
+            calls.clear()
+            code, out, _ = run_cli(
+                ["dvalue", "--game", "majority:101", "--theta", "2", "--rho", "3",
+                 "--method", method], capsys
+            )
+            assert code == 0
+            assert json.loads(out)["aggregate_lambda_closed_form"] is not None
+            assert len(calls) == 1, method
 
     def test_decimal_weights_decide_ties_exactly(self, capsys):
         # 0.1 + 0.7 < 0.8 in floats; read as decimals, {2, 3} meets the quota.

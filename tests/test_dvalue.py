@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from fractions import Fraction
 
@@ -194,9 +195,28 @@ class TestAggregates:
         for name in ("_size_pmf_vector", "_weighted_size_totals"):
             fn = getattr(dvalue, name)
             monkeypatch.setattr(dvalue, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
-        got = dvalue._closed_form_aggregates(model, game)
+        got = dvalue._closed_form_aggregates(model, game, dvalue._size_pmf_vector(model))
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
         assert len(calls) == 2  # one size law, one pass of size totals
+
+    @pytest.mark.parametrize(
+        "game",
+        [
+            KOutOfNGame(100_000, 50_001),
+            KOutOfNGame(100_000, 100_000),
+            AdditiveGame(np.linspace(0.5, 2.0, 100_000)),
+            SizeSymmetricGame(100_000, np.zeros(100_001)),
+        ],
+        ids=["majority", "unanimity", "additive", "zero"],
+    )
+    @pytest.mark.parametrize("shape", [(2.0, 3.0), (1e6, 1.0), (1.0, 1e6), (0.05, 0.05)])
+    def test_sum_of_nonzero_terms_matches_the_full_fsum(self, game, shape, monkeypatch):
+        model = CoalitionModel(game.n, *shape)
+        pmf = dvalue._size_pmf_vector(model)
+        fast = dvalue._closed_form_aggregates(model, game, pmf)
+        monkeypatch.setattr(dvalue, "_fsum_nonzero", math.fsum)
+        full = dvalue._closed_form_aggregates(model, game, pmf)
+        assert list(map(float.hex, fast)) == list(map(float.hex, full))
 
     @pytest.mark.parametrize("shape", [(1.0, 1e-13), (1e-13, 1.0)])
     def test_both_aggregates_raise_as_the_first_would(self, shape):
@@ -206,7 +226,7 @@ class TestAggregates:
         with pytest.raises(SingularSystemError) as expected:
             first(model, game)
         with pytest.raises(SingularSystemError) as got:
-            dvalue._closed_form_aggregates(model, game)
+            dvalue._closed_form_aggregates(model, game, dvalue._size_pmf_vector(model))
         assert str(got.value) == str(expected.value)
 
 

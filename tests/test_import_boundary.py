@@ -1,10 +1,11 @@
 """The package and its CLI load without scipy, numpy.random or a thread pool.
 
-Importing scipy costs tens of megabytes and a third of a second, so only the
-two ``posterior`` functions that need an incomplete beta import
-``scipy.special``, when they run.  The sampler and the thread pool load when
-Monte Carlo runs.  Each check runs in a fresh interpreter,
-since this test process has scipy loaded already.
+Importing scipy costs tens of megabytes and a third of a second.  Only
+``posterior.beta_median``, which no CLI command calls, and the semivariances
+of shapes past 2^36 import ``scipy.special``, when they run, so no CLI
+command loads scipy.  The sampler and the thread pool load when Monte Carlo
+runs.  Each check runs in a fresh interpreter, since this test process has
+scipy loaded already.
 """
 
 import os
@@ -17,13 +18,17 @@ import dichotomy
 SRC = str(Path(dichotomy.__file__).resolve().parents[1])
 
 
-def _loaded_after(imports: str) -> set[str]:
-    code = f"import sys\n{imports}\nprint('\\n'.join(sys.modules))"
+def _run(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter that imports from SRC."""
     env = dict(os.environ, PYTHONPATH=SRC)
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    return set(out.stdout.split())
+    return out.stdout
+
+
+def _loaded_after(imports: str) -> set[str]:
+    return set(_run(f"import sys\n{imports}\nprint('\\n'.join(sys.modules))").split())
 
 
 def test_core_modules_load_no_scipy():
@@ -51,18 +56,60 @@ def test_cli_and_posterior_load_no_scipy():
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}
 
 
-def test_semivariances_import_scipy_when_called():
+_NO_SCIPY = "assert not [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+
+
+def test_semivariances_and_verify_4_load_no_scipy():
     from dichotomy.posterior import semivariances
 
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "import dichotomy.cli\n"
         "from dichotomy.posterior import semivariances\n"
-        "assert 'scipy' not in sys.modules\n"
-        "print(repr(semivariances(3.5, 7.25)))"
+        "value = repr(semivariances(3.5, 7.25))\n"
+        + _NO_SCIPY
+        + "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = dichotomy.cli.main(['verify', '--theorem', '4', '--omega', '0.9',\n"
+        "        '--delta', '0.1', '--tau', '0.5',\n"
+        "        '--n-list', '1000,10000,100000,1000000,10000000,100000000'])\n"
+        "assert code == 0\n"
+        + _NO_SCIPY
+        + "print(value)"
     )
-    env = dict(os.environ, PYTHONPATH=SRC)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _run(code).strip() == repr(semivariances(3.5, 7.25))
+
+
+def test_cli_commands_load_no_scipy(tmp_path):
+    # Each subcommand the cli benchmark workload runs, with its kind of input.
+    rates = tmp_path / "rates.csv"
+    rates.write_text("period,omega,delta\np1,0.3,\np2,0.8,0.05\n")
+    toll = tmp_path / "toll.json"
+    toll.write_text(
+        '{"n": 500, "omega": 0.4, "g": {"type": "power", "exponent": 2, "coefficient": 1}}'
     )
-    assert out.stdout.strip() == repr(semivariances(3.5, 7.25))
+    base = ["--omega", "0.5556274555107865", "--delta", "0.040982460171519484"]
+    shape = ["--theta", "2.5", "--rho", "1.5"]
+    commands = [
+        ["tax-rate", *base],
+        ["tax-rate", *base, "--n", "5000"],
+        ["series", str(rates), "--delta", "0.1", "--n", "5000"],
+        ["sweep", "--n", "5000", "--resolution", "5"],
+        *(
+            ["verify", "--theorem", str(t), *base, "--tau", "0.7194898391631132",
+             "--n-list", "1000,100000,10000000,100000000"]
+            for t in (2, 3, 4, 5, 6)
+        ),
+        ["dvalue", "--game", "weighted:5,4,3,2,1:8", *shape],
+        ["apps", "voting", "--game", "weighted:5,4,3,2,1:8", *shape],
+        ["apps", "insurance", "--game", "additive:1.5,0.5", *shape, "--surcharge", "0.1"],
+        ["apps", "toll", "--scenario", str(toll)],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from dichotomy import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        + _NO_SCIPY
+    )
+    _run(code)

@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from dichotomy.posterior import (
     beta_mode,
     beta_raw_moment,
     beta_variance,
+    _SERIES_MAX_SHAPE,
     _solved_shapes,
     mad_about_mean,
     semivariances,
@@ -26,12 +28,29 @@ from dichotomy.taxpolicy import solve_theta_rho
 
 from _oracles import (
     mp_lower_semivariance,
+    mp_semivariances,
     quad_lower_semivariance,
     quad_mad,
     quad_raw_moment,
 )
 
 shapes = st.floats(min_value=0.2, max_value=500.0)
+
+# The shapes at which both semivariances are checked against mpmath: small,
+# lopsided and tiny shapes; 40 log-uniform draws from [10^-1.5, 10^9]^2; and
+# the solved shapes of two verify --theorem 4 ladders up to n = 1e8, at
+# (0.9, 0.1, 0.5) and at the parameters the cli benchmark workload draws
+# from seed 1.
+_rng = np.random.default_rng(2024)
+SEMIVARIANCE_SHAPES = [
+    (6.0, 6.0), (0.05, 0.05), (3.5, 7.25), (1e6, 1.0), (1.0, 1e6),
+    (5.4e7, 0.15), (0.15, 5.4e7), (4.5e7, 0.049), (1e-3, 1e9), (1e9, 1e-3),
+    (1e-20, 3.0), (3.0, 1e-20),
+] + [tuple(10.0 ** _rng.uniform(-1.5, 9.0, 2)) for _ in range(40)] + [
+    _solved_shapes(*params, 10**k)[2:]
+    for params in [(0.9, 0.1, 0.5), (0.5556274555107865, 0.040982460171519484, 0.7194898391631132)]
+    for k in range(3, 9)
+]
 
 
 class TestBasicStatistics:
@@ -147,6 +166,30 @@ class TestSemivariances:
                 ref_up = ma * mb / ((ma + mb) ** 2 * (ma + mb + 1)) - ref_lo
             assert lo == pytest.approx(float(ref_lo), rel=1e-10, abs=0.0), n
             assert up == pytest.approx(float(ref_up), rel=1e-10, abs=0.0), n
+
+    @pytest.mark.parametrize(
+        "a, b", SEMIVARIANCE_SHAPES, ids=[f"{a:.4g}:{b:.4g}" for a, b in SEMIVARIANCE_SHAPES]
+    )
+    def test_both_sides_against_mpmath(self, a, b):
+        lo, up = semivariances(a, b)
+        ref_lo, ref_up = mp_semivariances(a, b)
+        assert abs(lo / ref_lo - 1) <= 1e-14
+        assert abs(up / ref_up - 1) <= 1e-14
+
+    def test_incomplete_beta_beyond_the_series(self):
+        a, b = 1e11, 2e11
+        assert min(a, b) > _SERIES_MAX_SHAPE
+        lo, up = semivariances(a, b)
+        ref_lo = mp_lower_semivariance(a, b)
+        with mpmath.workdps(30):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            ref_up = ma * mb / ((ma + mb) ** 2 * (ma + mb + 1)) - ref_lo
+        assert lo == pytest.approx(float(ref_lo), rel=1e-10, abs=0.0)
+        assert up == pytest.approx(float(ref_up), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("a, b", [(math.inf, 2.0), (2.0, math.inf)])
+    def test_infinite_shape_gives_nan(self, a, b):
+        assert all(math.isnan(x) for x in semivariances(a, b))
 
     def test_incomplete_beta_route_at_large_solved_shapes(self):
         lo, _ = semivariances(9e6, 1e6)
