@@ -6,21 +6,21 @@ setting for an insurance pool (a negative reserve ratio), and the dynamic
 toll that equalizes driver costs on a tolled road segment.
 """
 
+from __future__ import annotations
+
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .coalition import CoalitionModel
-from .dvalue import Valuation, exact_valuation, expected_production, mc_valuation
 from .errors import DataError, DomainError
-from .production import (
-    ENUMERATION_CAP,
-    Game,
-    SizeSymmetricGame,
-    WeightedVotingGame,
-)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .coalition import CoalitionModel
+    from .dvalue import Valuation
+    from .production import Game
 
 __all__ = [
     "OutcomeShares",
@@ -83,6 +83,10 @@ class PowerReport:
 
 
 def _require_binary_monotone(game: Game) -> None:
+    import numpy as np
+
+    from .production import ENUMERATION_CAP, SizeSymmetricGame, WeightedVotingGame
+
     if isinstance(game, WeightedVotingGame):
         return
     if isinstance(game, SizeSymmetricGame):
@@ -119,6 +123,8 @@ def voting_power(
     The gain reads as the probability of turning a blocked result into a
     passed one, the loss as the reverse; their sum measures decisiveness.
     """
+    from .dvalue import exact_valuation, mc_valuation
+
     _require_binary_monotone(game)
     if method == "exact":
         val = exact_valuation(model, game)
@@ -148,6 +154,8 @@ def insurance_premium(
     The surcharge acts as a negative reserve ratio, so (1 + surcharge) times
     the expected cost is billed, split evenly across all n policyholders.
     """
+    from .dvalue import expected_production
+
     if not 0.0 <= surcharge < math.inf:
         raise DomainError(f"surcharge must be non-negative and finite, got {surcharge}")
     expected = expected_production(model, game)
@@ -213,6 +221,8 @@ class TableCurve(CostCurve):
     kind = "table"
 
     def __init__(self, x, y):
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.ndim != 1 or x.shape != y.shape or len(x) < 2:
@@ -232,6 +242,8 @@ class TableCurve(CostCurve):
             raise DataError(
                 f"volume {volume} outside tabulated range [{self.x[0]}, {self.x[-1]}]"
             )
+        import numpy as np
+
         return float(np.interp(volume, self.x, self.y))
 
     def metadata(self) -> dict:

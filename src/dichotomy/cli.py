@@ -7,6 +7,12 @@ limit checks (see README for the catalogue), and ``apps`` wraps the voting,
 insurance and toll applications.  All primary output is CSV or JSON with
 floats at 17 significant digits, so repeated runs are byte-identical.
 
+The array layer (``coalition``, ``production``, ``dvalue``) and numpy load
+inside the handlers that need arrays: ``dvalue``, ``sweep``, ``apps voting``,
+``apps insurance`` and ``parse_game_spec``.  ``tax-rate``, ``series``,
+``verify`` (but for ``--theorem 4``, whose semivariance series sums numpy
+blocks) and ``apps toll`` on a power or linear curve run without numpy.
+
 Handlers raise; ``main`` is the one place that turns an exception into a
 one-line ``error: <message>`` on stderr and an exit code, through
 ``_EXIT_CODES`` (first match wins):
@@ -27,14 +33,15 @@ exits 4 after the good rows when it rejected some, and ``verify`` exits 6
 when its gate fails.
 """
 
+from __future__ import annotations
+
 import argparse
 import csv
 import math
 import os
 import sys
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .apps import (
     LinearCurve,
@@ -45,17 +52,8 @@ from .apps import (
     load_toll_scenario,
     voting_power,
 )
-from .coalition import CoalitionModel, _size_pmf_vector
-from .dvalue import _closed_form_aggregates, _exact_valuation, mc_valuation
 from .errors import CapacityError, DataError, DomainError, RangeError, SingularSystemError
 from .posterior import LIMIT_CHECKS
-from .production import (
-    AdditiveGame,
-    Game,
-    KOutOfNGame,
-    WeightedVotingGame,
-    load_dense_game,
-)
 from .serialize import csv_line, csv_lines, json_dumps
 from .taxpolicy import (
     asymptotic_tax_rule,
@@ -63,6 +61,9 @@ from .taxpolicy import (
     probe_columns,
     solve_theta_rho,
 )
+
+if TYPE_CHECKING:
+    from .production import Game
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -119,6 +120,8 @@ def parse_game_spec(spec: str) -> Game:
     Families: majority:N, kofn:N:K, unanimity:N, weighted:W1,...,Wn:QUOTA,
     additive:V1,...,Vn.
     """
+    from .production import AdditiveGame, KOutOfNGame, WeightedVotingGame, load_dense_game
+
     head, _, rest = spec.partition(":")
     try:
         if head == "majority":
@@ -228,6 +231,9 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_dvalue(args) -> int:
+    from .coalition import CoalitionModel, _size_pmf_vector
+    from .dvalue import _closed_form_aggregates, _exact_valuation, mc_valuation
+
     game = parse_game_spec(args.game)
     model = CoalitionModel(game.n, args.theta, args.rho)
     pmf = _size_pmf_vector(model)  # one size law for the valuation and the closed forms
@@ -259,6 +265,8 @@ def _parse_range(text: str) -> tuple[float, float]:
 
 
 def _cmd_sweep(args) -> int:
+    import numpy as np
+
     w_lo, w_hi = _parse_range(args.omega_range)
     t_lo, t_hi = _parse_range(args.tau_range)
     if args.resolution < 1 or w_lo > w_hi or t_lo > t_hi:
@@ -321,6 +329,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_voting(args) -> int:
+    from .coalition import CoalitionModel
+
     game = parse_game_spec(args.game)
     model = CoalitionModel(game.n, args.theta, args.rho)
     report = voting_power(
@@ -340,6 +350,8 @@ def _cmd_voting(args) -> int:
 
 
 def _cmd_insurance(args) -> int:
+    from .coalition import CoalitionModel
+
     game = parse_game_spec(args.game)
     model = CoalitionModel(game.n, args.theta, args.rho)
     quote = insurance_premium(model, game, args.surcharge)

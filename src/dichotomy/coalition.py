@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .posterior import _BLOCK, PosteriorRate, _log_mode_factor
 
 __all__ = [
     "CoalitionModel",
@@ -106,29 +107,6 @@ class SubsetId:
         return SubsetId(self.n, self.members - {i})
 
 
-@dataclass(frozen=True)
-class PosteriorRate:
-    """Beta(a, b) posterior of the employment rate after observing size s."""
-
-    a: float
-    b: float
-    omega: float
-
-    def __post_init__(self):
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise DomainError(f"posterior shapes must be positive, got ({self.a}, {self.b})")
-        if not (0.0 <= self.omega <= 1.0):
-            raise DomainError(f"observed rate must lie in [0, 1], got {self.omega}")
-
-
-# Terms of the running sums of the size law are added within blocks of this
-# length and the block totals are added in turn, so rounding grows with the
-# block length and the block count, not with n.
-_BLOCK = 4096
-# Stirling series of the remainder below, in powers of 1 / x^2: B_2k / (2k (2k - 1)).
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
-
-
 def _running_sum(d: np.ndarray, backward: bool = False) -> np.ndarray:
     """[0, d[0], d[0] + d[1], ..., sum(d)], summed blockwise; backward, the
     sums run from the end and are negated, [-sum(d), ..., -d[-1], 0]."""
@@ -185,37 +163,6 @@ def _size_pmf_vector(model: CoalitionModel) -> np.ndarray:
     np.exp(p, out=p)
     p /= p.sum()
     return p
-
-
-def _stirlerr(x: float) -> float:
-    """The Stirling remainder lgamma(x) - (x - 1/2) log x + x - log(2 pi) / 2:
-    from lgamma below 10, from its series above."""
-    if x < 10.0:
-        return math.lgamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * math.log(2.0 * math.pi)
-    y = 1.0 / (x * x)
-    acc = 0.0
-    for c in reversed(_STIRLING):
-        acc = acc * y + c
-    return acc / x
-
-
-def _log_mode_factor(a: float, b: float) -> float:
-    """a log(mu) + b log(1 - mu) - log B(a, b) at mu = a / (a + b), in the
-    form of Loader (2000) that does not cancel at large shapes."""
-    lo, hi = sorted((a, b))  # ab / (a + b) without underflow in ab
-    return (
-        0.5 * (math.log(lo * (hi / (a + b))) - math.log(2.0 * math.pi))
-        - _stirlerr(a) - _stirlerr(b) + _stirlerr(a + b)
-    )
-
-
-def _mode_factor(a: float, b: float) -> float:
-    """exp(_log_mode_factor(a, b)) without the exp of a log of order log(a
-    + b), which would magnify the log's last-place rounding into the factor."""
-    lo, hi = sorted((a, b))
-    return math.sqrt(lo * (hi / (a + b)) / (2.0 * math.pi)) * math.exp(
-        _stirlerr(a + b) - _stirlerr(a) - _stirlerr(b)
-    )
 
 
 def _bd0(x: float, m: float, d: float) -> float:

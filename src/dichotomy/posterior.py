@@ -8,23 +8,26 @@ degeneracy at the observed rate, the scaled-variance limit, the response of
 the mean to the tax rate, the semivariance sandwich, and the squared
 MAD-to-variance ratio.
 
-Everything here is numpy and the standard library, except the median (the
-inverse incomplete beta) and the semivariances of shapes past 2^36 (the
-incomplete beta): those import ``scipy.special`` when they run, so that no
-CLI command on markets up to about 1e11 loads scipy.
+Everything here is the standard library, with three exceptions that
+import what they need when they run.  The semivariance series sums its
+terms in numpy blocks; the median (the inverse incomplete beta) and the
+semivariances of shapes past 2^36 (the incomplete beta) take
+``scipy.special``.  So ``verify`` loads numpy only for ``--theorem 4``,
+and no CLI command on markets up to about 1e11 loads scipy.  The scalar
+Stirling and Loader helpers live here, below the array layer, and
+``coalition`` imports them.
 """
 
 import math
+import statistics
 from dataclasses import astuple, dataclass, fields
 
-import numpy as np
-
-from .coalition import _BLOCK, PosteriorRate, _log_mode_factor, _mode_factor
 from .errors import DomainError
 from .serialize import csv_line
 from .taxpolicy import asymptotic_tax_rule, solve_theta_rho
 
 __all__ = [
+    "PosteriorRate",
     "PosteriorSummary",
     "LimitRow",
     "LimitReport",
@@ -44,6 +47,62 @@ __all__ = [
     "LIMIT_CHECKS",
 ]
 
+
+@dataclass(frozen=True)
+class PosteriorRate:
+    """Beta(a, b) posterior of the employment rate after observing size s."""
+
+    a: float
+    b: float
+    omega: float
+
+    def __post_init__(self):
+        if not (self.a > 0.0 and self.b > 0.0):
+            raise DomainError(f"posterior shapes must be positive, got ({self.a}, {self.b})")
+        if not (0.0 <= self.omega <= 1.0):
+            raise DomainError(f"observed rate must lie in [0, 1], got {self.omega}")
+
+
+# Terms of the running sums of the size law and of the semivariance series
+# are added within blocks of this length and the block totals are added in
+# turn, so rounding grows with the block length and the block count, not
+# with the number of terms.
+_BLOCK = 4096
+# Stirling series of the remainder below, in powers of 1 / x^2: B_2k / (2k (2k - 1)).
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+
+
+def _stirlerr(x: float) -> float:
+    """The Stirling remainder lgamma(x) - (x - 1/2) log x + x - log(2 pi) / 2:
+    from lgamma below 10, from its series above."""
+    if x < 10.0:
+        return math.lgamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * math.log(2.0 * math.pi)
+    y = 1.0 / (x * x)
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * y + c
+    return acc / x
+
+
+def _log_mode_factor(a: float, b: float) -> float:
+    """a log(mu) + b log(1 - mu) - log B(a, b) at mu = a / (a + b), in the
+    form of Loader (2000) that does not cancel at large shapes."""
+    lo, hi = sorted((a, b))  # ab / (a + b) without underflow in ab
+    return (
+        0.5 * (math.log(lo * (hi / (a + b))) - math.log(2.0 * math.pi))
+        - _stirlerr(a) - _stirlerr(b) + _stirlerr(a + b)
+    )
+
+
+def _mode_factor(a: float, b: float) -> float:
+    """exp(_log_mode_factor(a, b)) without the exp of a log of order log(a
+    + b), which would magnify the log's last-place rounding into the factor."""
+    lo, hi = sorted((a, b))
+    return math.sqrt(lo * (hi / (a + b)) / (2.0 * math.pi)) * math.exp(
+        _stirlerr(a + b) - _stirlerr(a) - _stirlerr(b)
+    )
+
+
 def _check_shapes(a: float, b: float) -> None:
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"shape parameters must be positive, got ({a}, {b})")
@@ -55,8 +114,14 @@ def beta_mean(a: float, b: float) -> float:
 
 
 def beta_variance(a: float, b: float) -> float:
+    """ab / ((a + b)^2 (a + b + 1)); in steps where that denominator
+    underflows to 0 or overflows, as at shapes near 1e-300 or 1e200."""
     _check_shapes(a, b)
-    return a * b / ((a + b) * (a + b) * (a + b + 1.0))
+    total = a + b
+    den = total * total * (total + 1.0)
+    if 0.0 < den < math.inf:
+        return a * b / den
+    return a / total * (b / total) / (total + 1.0)
 
 
 def beta_mode(a: float, b: float) -> float | None:
@@ -114,6 +179,8 @@ def _lower_semivariance_series(a: float, b: float) -> float:
     and the sum stops once that is below 2^-60 of it.  Since nu >= 1/2, this
     takes about sqrt(220 a) terms.
     """
+    import numpy as np
+
     total = a + b
     mu, nu = a / total, b / total
     k = np.arange(_BLOCK, dtype=float)
@@ -300,12 +367,12 @@ def verify_degenerate_limit(
 
 
 def _fit_error_slope(rows: list[LimitRow]) -> float:
+    """Least-squares slope of log10 |error| on log10 n; nan unless two
+    distinct n have a non-zero error."""
     pts = [(math.log10(r.n), math.log10(r.abs_error)) for r in rows if r.abs_error > 0]
-    if len(pts) < 2:
+    if len({x for x, _ in pts}) < 2:
         return math.nan
-    xs, ys = zip(*pts)
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(slope)
+    return statistics.linear_regression(*zip(*pts)).slope
 
 
 def verify_asymptotic_variance(

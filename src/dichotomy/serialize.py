@@ -8,8 +8,6 @@ byte-identical output.  JSON has no token for nan or infinity, so
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = ["fmt_float", "json_dumps", "csv_line", "csv_lines"]
@@ -97,7 +95,12 @@ def csv_line(fields) -> str:
     return ",".join(map(_field, fields))
 
 
-def _column(values: np.ndarray) -> list[str]:
+def _is_column(c) -> bool:
+    # A 1-D array; numpy scalars, such as the sweep's omega, have ndim 0.
+    return getattr(c, "ndim", 0) == 1
+
+
+def _column(values) -> list[str]:
     if values.dtype == float:
         return [format(x, ".17g") for x in values.tolist()]  # fmt_float, inlined
     return list(map(_field, values.tolist()))
@@ -110,8 +113,6 @@ def csv_lines(columns) -> list[str]:
     every row repeats; fields follow the rule of ``csv_line``.  At least one
     column must be an array.
     """
-    rows = next(len(c) for c in columns if isinstance(c, np.ndarray))
-    cells = [
-        _column(c) if isinstance(c, np.ndarray) else [_field(c)] * rows for c in columns
-    ]
+    rows = next(len(c) for c in columns if _is_column(c))
+    cells = [_column(c) if _is_column(c) else [_field(c)] * rows for c in columns]
     return list(map(",".join, zip(*cells)))

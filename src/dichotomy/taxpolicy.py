@@ -9,15 +9,25 @@ closed form is expressed through ten polynomial shorthands in
 (omega, tau, delta).  The system degenerates exactly on the line
 tau = 1 - omega + delta*omega, which is also the rule selected by every
 asymptotic risk criterion in this package.
+
+``solve_theta_rho`` solves one cell in software extended precision and
+loads no numpy; the grid solvers import it when they run.
 """
 
+from __future__ import annotations
+
 import math
+import numbers
+import operator
 import warnings
 from dataclasses import astuple, dataclass
-
-import numpy as np
+from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, SingularSystemError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DeltaShorthands",
@@ -60,8 +70,9 @@ class DeltaShorthands:
 def _solver_values(w, t, e) -> tuple:
     """d, d1, d2, d3 and d4, the shorthands the closed-form solve uses.
 
-    The arguments may be Python floats, numpy scalars or arrays: the solver
-    evaluates the same expressions over a float64 tau grid and in longdouble.
+    The arguments may be Python floats, numpy scalars or arrays, or
+    ``_X87`` numbers: the solvers evaluate the same expressions in float64,
+    for the singular band, and in extended precision, for the solution.
     """
     return (
         w + t - e * w - 1.0,
@@ -166,6 +177,128 @@ def tax_rate_from_welfare(
     return delta + (s * (theta + rho - 1.0) - n * (theta - 1.0)) / den
 
 
+class _X87:
+    """A real number in the arithmetic of the x87 80-bit long double.
+
+    Every + - * / is taken exactly on ``fractions.Fraction`` and rounded to
+    a 64-bit significand, ties to even, as x86-64 ``np.longdouble`` rounds
+    it, so the one-cell solve gives the bits of the grid solver there
+    without numpy, and on every platform.  From finite float64 inputs the
+    solver's intermediates stay far inside that format's exponent range,
+    so none overflows or underflows.  ``v`` is a Fraction when finite and
+    non-zero, and otherwise a float, so zeros keep their sign; zeros, inf
+    and nan follow IEEE rules.
+    """
+
+    __slots__ = ("v",)
+
+    def __init__(self, x):
+        if isinstance(x, float):
+            self.v = Fraction(x) if x and math.isfinite(x) else x
+        else:  # a Fraction or an int, rounded as np.longdouble(x) rounds it
+            x = _round64(x)
+            self.v = x if x else 0.0  # an exact cancellation gives +0
+
+    def _apply(self, other, op, reflected=False):
+        a, b = self.v, (other if isinstance(other, _X87) else _X87(other)).v
+        if reflected:
+            a, b = b, a
+        if isinstance(a, Fraction) and isinstance(b, Fraction):
+            return _X87(op(a, b))
+        if op is operator.truediv and b == 0:
+            if a == 0 or a != a:
+                return _X87(math.nan)
+            return _X87(math.copysign(math.inf, _sign(a)) * math.copysign(1.0, b))
+        if _finite(a) and _finite(b):  # a zero and a finite number
+            r = op(Fraction(a), Fraction(b))
+            if r:  # a sum or a difference: the other number, exactly
+                return _X87(r)
+        # A zero result, or an inf or a nan: the float rules on the signs.
+        return _X87(op(_sign(a), _sign(b)))
+
+    def __add__(self, other):
+        return self._apply(other, operator.add)
+
+    def __radd__(self, other):
+        return self._apply(other, operator.add, True)
+
+    def __sub__(self, other):
+        return self._apply(other, operator.sub)
+
+    def __rsub__(self, other):
+        return self._apply(other, operator.sub, True)
+
+    def __mul__(self, other):
+        return self._apply(other, operator.mul)
+
+    def __rmul__(self, other):
+        return self._apply(other, operator.mul, True)
+
+    def __truediv__(self, other):
+        return self._apply(other, operator.truediv)
+
+    def __neg__(self):
+        return _X87(-self.v)
+
+    def __abs__(self):
+        return _X87(abs(self.v))
+
+    def __eq__(self, other):
+        return self.v == other
+
+    def __float__(self):
+        try:
+            return float(self.v)
+        except OverflowError:  # where the long double rounds to inf
+            return -math.inf if self.v < 0 else math.inf
+
+
+def _finite(x) -> bool:
+    return isinstance(x, Fraction) or math.isfinite(x)
+
+
+def _sign(x) -> float:
+    """A float of a Fraction's sign; a float itself."""
+    return float((x > 0) - (x < 0)) if isinstance(x, Fraction) else x
+
+
+def _round64(x) -> Fraction:
+    """A Fraction or an int rounded to a 64-bit significand, ties to even."""
+    p, q = x.numerator, x.denominator
+    if not p:
+        return x
+    # |x| / 2^shift lies in (2^63, 2^65).
+    shift = abs(p).bit_length() - q.bit_length() - 64
+    num, den = abs(p) << max(-shift, 0), q << max(shift, 0)
+    m, r = divmod(num, den)
+    if m >> 64:
+        m, r, den, shift = m >> 1, (m & 1) * den + r, 2 * den, shift + 1
+    if 2 * r > den or (2 * r == den and m & 1):
+        m += 1
+    m = m if p > 0 else -m
+    return Fraction(m << shift) if shift >= 0 else Fraction(m, 1 << -shift)
+
+
+def _closed_form(n, w, e, t) -> tuple:
+    """theta and rho, unrounded, in the arithmetic of the arguments."""
+    d, d1, d2, d3, d4 = _solver_values(w, t, e)
+    den = n * d + d3
+    return (n * n * w * d1 + n * d2 + d3) / den, (n * n * (1.0 - w) * d1 + n * d4 + d3) / den
+
+
+def _misfits(n, w, e, t, theta, rho) -> tuple:
+    """|rate - t| through the benefits and the welfare identity at s = n*w,
+    each with its denominator."""
+    s = n * w
+    hired = s * (theta + rho - 1.0)
+    den8 = rho + n - s - 1.0
+    den9 = theta + s - 1.0
+    return (
+        abs(1.0 - (hired - n * theta) / den8 - t), den8,
+        abs(e + (hired - n * (theta - 1.0)) / den9 - t), den9,
+    )
+
+
 def _solve_cells(n, omega, delta, taus: np.ndarray) -> tuple[ProbeColumns, np.ndarray]:
     """Solve every cell of a float64 tau vector at one (n, omega, delta).
 
@@ -179,6 +312,8 @@ def _solve_cells(n, omega, delta, taus: np.ndarray) -> tuple[ProbeColumns, np.nd
     warnings off: overflow to inf or nan is part of the result, as in Python
     float arithmetic.
     """
+    import numpy as np
+
     nf, w_f, e_f = float(n), float(omega), float(delta)
     ld = np.longdouble
     n_, w, e = ld(n), ld(omega), ld(delta)
@@ -187,17 +322,11 @@ def _solve_cells(n, omega, delta, taus: np.ndarray) -> tuple[ProbeColumns, np.nd
         den = nf * sh.d + sh.d3
         band = np.abs(den) < 1e-12 * nf
         t = taus.astype(ld)
-        d, d1, d2, d3, d4 = _solver_values(w, t, e)
-        den_ = n_ * d + d3
-        theta = ((n_ * n_ * w * d1 + n_ * d2 + d3) / den_).astype(float)
-        rho = ((n_ * n_ * (1.0 - w) * d1 + n_ * d4 + d3) / den_).astype(float)
-        s_, th, rh = n_ * w, theta.astype(ld), rho.astype(ld)
+        theta, rho = (x.astype(float) for x in _closed_form(n_, w, e, t))
+        r8, den8, r9, den9 = _misfits(n_, w, e, t, theta.astype(ld), rho.astype(ld))
         scale = np.maximum(1.0, np.abs(taus))
-        hired = s_ * (th + rh - 1.0)
-        den8 = rh + n_ - s_ - 1.0
-        r8 = np.abs(1.0 - (hired - n_ * th) / den8 - t).astype(float) / scale
-        den9 = th + s_ - 1.0
-        r9 = np.abs(e + (hired - n_ * (th - 1.0)) / den9 - t).astype(float) / scale
+        r8 = r8.astype(float) / scale
+        r9 = r9.astype(float) / scale
         r8[den8 == 0] = math.inf
         r9[den9 == 0] = math.inf
         valid = (theta > 0.0) & (rho > 0.0) & (0.0 <= taus) & (taus <= 1.0) & ~band
@@ -212,22 +341,33 @@ def solve_theta_rho(n: float, omega: float, delta: float, tau: float) -> TaxSolu
     The identities are algebraic in s, so a non-integral n*omega is accepted
     as-is.  Raises when the denominator sits inside the singular band
     |n*d + d3| < 1e-12 * n around the line tau = 1 - omega + delta*omega.
+    The cell is solved as one cell of ``probe_columns``, bit for bit: the
+    band test and the shorthands in float64, theta, rho and the residuals
+    in ``_X87`` arithmetic, x86-64's longdouble.
     """
     inputs = PolicyInputs(n=float(n), omega=float(omega), delta=float(delta), tau=float(tau))
-    cols, den = _solve_cells(n, omega, delta, np.array([inputs.tau]))
-    if cols.singular[0]:
+    nf, w_f, e_f, t_f = inputs.n, inputs.omega, inputs.delta, inputs.tau
+    sh = DeltaShorthands(*_shorthand_values(w_f, t_f, e_f))
+    den = nf * sh.d + sh.d3
+    if abs(den) < 1e-12 * nf:
         raise SingularSystemError(
             f"system degenerates near tau = 1 - omega + delta*omega "
-            f"(n*d + d3 = {float(den[0]):.3e})"
+            f"(n*d + d3 = {den:.3e})"
         )
+    # An integer n enters as np.longdouble(n) holds it, exactly below 2^64.
+    n_ = _X87(int(n) if isinstance(n, numbers.Integral) else nf)
+    w, e, t = _X87(w_f), _X87(e_f), _X87(t_f)
+    theta, rho = map(float, _closed_form(n_, w, e, t))
+    r8, den8, r9, den9 = _misfits(n_, w, e, t, _X87(theta), _X87(rho))
+    scale = max(1.0, abs(t_f))
     return TaxSolution(
-        theta=float(cols.theta[0]),
-        rho=float(cols.rho[0]),
+        theta=theta,
+        rho=rho,
         inputs=inputs,
-        shorthands=DeltaShorthands(*(float(x[0]) for x in astuple(cols.shorthands))),
-        residual_benefits=float(cols.residual_benefits[0]),
-        residual_welfare=float(cols.residual_welfare[0]),
-        valid=bool(cols.valid[0]),
+        shorthands=sh,
+        residual_benefits=math.inf if den8 == 0 else float(r8) / scale,
+        residual_welfare=math.inf if den9 == 0 else float(r9) / scale,
+        valid=theta > 0.0 and rho > 0.0 and 0.0 <= t_f <= 1.0,
     )
 
 
@@ -269,6 +409,8 @@ def probe_columns(n: float, omega: float, delta: float, tau_grid) -> ProbeColumn
     gets the mark).  Inputs are checked cell by cell as ``PolicyInputs``
     does, so the first bad cell raises.
     """
+    import numpy as np
+
     taus = np.array(tau_grid, dtype=float).reshape(-1)
     # A bad n, omega or delta fails at the first cell, a bad tau at its own.
     for tau in taus[:1].tolist() + taus[~np.isfinite(taus)][:1].tolist():

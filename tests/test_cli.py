@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dichotomy
-from dichotomy import cli, dvalue, production
+from dichotomy import cli, coalition, dvalue, production
 from dichotomy.coalition import CoalitionModel
 from dichotomy.dvalue import aggregate_gain_closed_form, exact_valuation
 from dichotomy.production import WeightedVotingGame
@@ -243,10 +243,10 @@ class TestDvalue:
 
     def test_one_size_law_for_both_aggregates(self, capsys, monkeypatch):
         # One size law for the valuation and both closed forms, whichever
-        # module asks for it.
+        # module asks for it: the handler imports it from coalition.
         calls = []
         pmf = dvalue._size_pmf_vector
-        for module in (cli, dvalue):
+        for module in (coalition, dvalue):
             monkeypatch.setattr(module, "_size_pmf_vector", lambda m: calls.append(1) or pmf(m))
         for method in ("exact", "mc"):
             calls.clear()

@@ -1,19 +1,26 @@
-"""The package and its CLI load without scipy, numpy.random or a thread pool.
+"""The package and its CLI load without scipy, numpy.random or a thread pool,
+and the scalar commands without numpy.
 
 Importing scipy costs tens of megabytes and a third of a second.  Only
 ``posterior.beta_median``, which no CLI command calls, and the semivariances
 of shapes past 2^36 import ``scipy.special``, when they run, so no CLI
 command loads scipy.  The sampler and the thread pool load when Monte Carlo
-runs.  Each check runs in a fresh interpreter, since this test process has
-scipy loaded already.
+runs.  Importing numpy costs about 0.16 s of every cold start, so the
+package re-exports its names lazily and the CLI loads the array layer only
+in the handlers that need arrays.  Each check runs in a fresh interpreter,
+since this test process has numpy and scipy loaded already.
 """
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import dichotomy
+from dichotomy import cli
 
 SRC = str(Path(dichotomy.__file__).resolve().parents[1])
 
@@ -113,3 +120,67 @@ def test_cli_commands_load_no_scipy(tmp_path):
         + _NO_SCIPY
     )
     _run(code)
+
+
+def test_package_import_loads_no_numpy():
+    loaded = _loaded_after("import dichotomy")
+    assert "numpy" not in loaded
+
+
+def test_star_import_binds_every_exported_name():
+    code = (
+        "import importlib\n"
+        "import dichotomy\n"
+        "names = {}\n"
+        "exec('from dichotomy import *', names)\n"
+        "for name in dichotomy.__all__:\n"
+        "    module = dichotomy._EXPORTS.get(name)\n"
+        "    value = getattr(importlib.import_module('dichotomy.' + module), name) if module else dichotomy.__version__\n"
+        "    assert names[name] is value, name\n"
+        "print(len(dichotomy.__all__))"
+    )
+    assert int(_run(code)) == len(dichotomy.__all__)
+
+
+def test_scalar_commands_load_no_numpy(tmp_path):
+    # tax-rate, series, verify 2, 3, 5 and 6 and apps toll solve scalars
+    # only; they run one after another in one interpreter, with their
+    # stdout checked against this process's run of the same command.
+    rates = tmp_path / "rates.csv"
+    rates.write_text("period,omega,delta\np1,0.3,\np2,0.8,0.05\n")
+    toll = tmp_path / "toll.json"
+    toll.write_text(
+        '{"n": 500, "omega": 0.4, "g": {"type": "power", "exponent": 2, "coefficient": 1}}'
+    )
+    base = ["--omega", "0.5556274555107865", "--delta", "0.040982460171519484"]
+    commands = [
+        ["tax-rate", *base],
+        ["tax-rate", *base, "--n", "5000"],
+        ["series", str(rates), "--delta", "0.1", "--n", "5000"],
+        *(
+            ["verify", "--theorem", str(t), *base, "--tau", "0.7194898391631132",
+             "--n-list", "1000,100000,10000000,100000000"]
+            for t in (2, 3, 5, 6)
+        ),
+        ["apps", "toll", "--scenario", str(toll)],
+        ["apps", "toll", "--g", "power:1.5:2", "--n", "100", "--omega", "0.4"],
+        ["apps", "toll", "--g", "linear:3", "--n", "100", "--omega", "0.4"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from dichotomy import cli\n"
+        "outs = []\n"
+        f"for argv in {commands!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps(outs))"
+    )
+    outs = json.loads(_run(code))
+    for argv, out in zip(commands, outs, strict=True):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+        assert out == buf.getvalue(), argv

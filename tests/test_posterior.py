@@ -64,6 +64,29 @@ class TestBasicStatistics:
     def test_variance_closed_form(self):
         assert beta_variance(6.0, 6.0) == pytest.approx(1.0 / 52.0, rel=1e-12)
 
+    @given(shapes, shapes)
+    def test_variance_in_one_division_inside_the_float_range(self, a, b):
+        assert beta_variance(a, b) == a * b / ((a + b) * (a + b) * (a + b + 1.0))
+
+    @pytest.mark.parametrize(
+        "a, b", [(1e-300, 1e-300), (1e-300, 3e-300), (5e-324, 1e-300), (1e200, 3e200)]
+    )
+    def test_variance_where_the_denominator_leaves_the_float_range(self, a, b):
+        # (a + b)^2 (a + b + 1) underflows to 0 or overflows to inf here.
+        with mpmath.workdps(40):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            ref = float(ma * mb / ((ma + mb) ** 2 * (ma + mb + 1)))
+        assert beta_variance(a, b) == pytest.approx(ref, rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize("a, b", [(1e-300, 1e-300), (1e-300, 3e-300)])
+    def test_tiny_shapes_summarize(self, a, b):
+        s = summarize(PosteriorRate(a, b, 0.5))
+        ref_lo, ref_up = mp_semivariances(a, b)
+        assert s.variance == beta_variance(a, b)
+        # Within the 2e-14 of the lgamma-based Stirling remainder at tiny x.
+        assert s.lower_semivariance == pytest.approx(float(ref_lo), rel=1e-13, abs=0.0)
+        assert s.upper_semivariance == pytest.approx(float(ref_up), rel=1e-13, abs=0.0)
+
     def test_mode_undefined_at_boundary_shapes(self):
         assert beta_mode(1.0, 5.0) is None
         assert beta_mode(5.0, 0.7) is None
@@ -217,6 +240,23 @@ class TestVerifyReports:
         assert report.passed
         assert report.details["limit"] == pytest.approx(0.0279, abs=1e-12)
         assert -1.3 <= report.details["slope"] <= -0.7
+
+    @pytest.mark.parametrize("ns", [[1_000, 10_000, 100_000], [10, 100, 1_000, 10**8, 10**12]])
+    def test_scaled_variance_slope_against_mpmath(self, ns):
+        report = verify_asymptotic_variance(0.7, 0.2, 0.9, ns)
+        with mpmath.workdps(40):
+            xs = [mpmath.mpf(math.log10(r.n)) for r in report.rows]
+            ys = [mpmath.mpf(math.log10(r.abs_error)) for r in report.rows]
+            mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+            slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum(
+                (x - mx) ** 2 for x in xs
+            )
+        assert abs(report.details["slope"] - float(slope)) <= math.ulp(1.0)
+
+    def test_scaled_variance_slope_needs_two_markets(self):
+        report = verify_asymptotic_variance(0.9, 0.1, 0.5, [1_000, 1_000])
+        assert math.isnan(report.details["slope"])
+        assert not report.passed
 
     def test_mean_response(self):
         report = verify_posterior_mean_expansion(0.9, 0.1, 0.5, self.ns)
