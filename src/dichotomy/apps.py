@@ -85,9 +85,16 @@ class PowerReport:
 def _require_binary_monotone(game: Game) -> None:
     import numpy as np
 
-    from .production import ENUMERATION_CAP, SizeSymmetricGame, WeightedVotingGame
+    from .production import ENUMERATION_CAP, AdditiveGame, SizeSymmetricGame, WeightedVotingGame
 
     if isinstance(game, WeightedVotingGame):
+        return
+    if isinstance(game, AdditiveGame):
+        # v(T) counts the members of value 1: binary, and then monotone, when
+        # every value is 0 or 1 and at most one is 1.
+        w = game.player_values
+        if not (np.isin(w, (0.0, 1.0)).all() and np.count_nonzero(w) <= 1):
+            raise DomainError("voting games must take values in {0,1}")
         return
     if isinstance(game, SizeSymmetricGame):
         u = game.value_by_size()

@@ -231,28 +231,32 @@ def _cmd_series(args) -> int:
 
 
 def _cmd_dvalue(args) -> int:
-    from .coalition import CoalitionModel, _size_pmf_vector
-    from .dvalue import _closed_form_aggregates, _exact_valuation, mc_valuation
+    from .coalition import CoalitionModel
+    from .dvalue import _closed_form, _exact, mc_valuation
 
     game = parse_game_spec(args.game)
     model = CoalitionModel(game.n, args.theta, args.rho)
-    pmf = _size_pmf_vector(model)  # one size law for the valuation and the closed forms
     if args.method == "exact":
-        val = _exact_valuation(model, game, pmf)
+        # One size law and one pass give the valuation and the size totals.
+        val, totals = _exact(model, game)
     else:
         val = mc_valuation(
             model, game, args.samples, args.seed,
             streams=args.streams, max_workers=args.threads,
         )
-    try:
-        gain, loss = _closed_form_aggregates(model, game, pmf)
-    except CapacityError:
-        gain = loss = None
-    del pmf  # n + 1 floats, freed before the report's lists are built
-    report = val.to_json_dict()
-    report["aggregate_gamma_closed_form"] = gain
-    report["aggregate_lambda_closed_form"] = loss
-    _write_out(json_dumps(report) + "\n", args.out)
+        try:
+            totals = _exact(model, game, players=False)[1]
+        except CapacityError:
+            totals = None
+    closed = {}
+    for key, which in (("gamma", "gain"), ("lambda", "loss")):
+        try:
+            value = None if totals is None else _closed_form(model, totals, which)
+        except SingularSystemError:  # a coefficient denominator vanishes
+            value = None
+        closed[f"aggregate_{key}_closed_form"] = value
+    del totals  # n + 1 floats, freed before the report's lists are built
+    _write_out(json_dumps(val.to_json_dict() | closed) + "\n", args.out)
     return EXIT_OK
 
 

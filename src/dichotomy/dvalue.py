@@ -6,7 +6,9 @@ marginal loss when unemployed (the production gained if the market hired
 them).  Exact evaluation rewrites each expectation as a difference of two
 subset sums, which needs a single pass over coalitions; closed-form
 aggregates and Monte Carlo estimators cover the regimes where full
-enumeration is out of reach.
+enumeration is out of reach.  ``_exact`` alone picks a game's exact path
+(size law, additive, integer-vote counts or the 2^n table) and serves the
+valuation, the by-size totals of the closed forms, or both from one pass.
 """
 
 import math
@@ -98,106 +100,83 @@ def _subset_weights(pmf: np.ndarray) -> np.ndarray:
     return pmf / np.array([math.comb(n, t) for t in range(n + 1)], dtype=float)
 
 
-def _weighted_size_totals(game: Game, pmf: np.ndarray) -> np.ndarray:
-    """P(S = T) times the sum of v(T) over the coalitions T of each size t,
-    from the size pmf; the last entry is P(S = N) v(N)."""
-    n = game.n
-    if game.size_only:
-        return pmf * game.value_by_size()
-    if isinstance(game, AdditiveGame):
-        # Each player sits in C(n-1, t-1) of the C(n, t) coalitions of size t.
-        return pmf * (np.arange(n + 1) / n) * float(game.player_values.sum())
-    counts = _voting_counts(game, swings=False)
-    if counts is not None:
-        return _subset_weights(pmf) * counts[0]
-    table = game.dense_values()
-    weighted = _mask_weights(_subset_weights(pmf))  # P(S = T)
-    weighted *= table
-    return np.bincount(_popcounts(n), weights=weighted, minlength=n + 1)
+def _exact(
+    model: CoalitionModel, game: Game, players: bool = True, totals: bool = True
+) -> tuple[Valuation | None, np.ndarray | None]:
+    """The one place that picks a game's exact path: the size law for
+    size-symmetric games, the prior mean for additive ones, counts for
+    integer voting weights, else enumeration of the 2^n table.
 
-
-def _size_totals(model: CoalitionModel, game: Game) -> np.ndarray:
+    Returns the Valuation when ``players`` and, when ``totals``, P(S = T)
+    times the sum of v(T) over the coalitions T of each size t (the last
+    entry is P(S = N) v(N)); the other is None and is not computed.
+    """
     _check_model_game(model, game)
-    return _weighted_size_totals(game, _size_pmf_vector(model))
-
-
-def expected_production(model: CoalitionModel, game: Game) -> float:
-    """Mean of v(S) under the coalition model."""
-    return float(_size_totals(model, game).sum())
-
-
-def _exact_dense(
-    model: CoalitionModel, game: Game, pmf: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    n = model.n
-    counts = _voting_counts(game)
-    if counts is not None:
+    n = game.n
+    additive = isinstance(game, AdditiveGame)
+    # An additive valuation needs no size law.
+    pmf = None if additive and not totals else _size_pmf_vector(model)
+    by_size = None
+    if game.size_only:
+        if players:
+            step = np.diff(game.value_by_size())  # u(t + 1) - u(t)
+            inside = np.arange(n + 1) / n  # C(n-1, t-1) / C(n, t)
+            outside = inside[::-1]  # C(n-1, t) / C(n, t)
+            # fsum only the sizes where u steps; it is slow over all n.
+            moves = step != 0
+            gain = np.full(n, math.fsum((pmf[1:] * inside[1:] * step)[moves]))
+            loss = np.full(n, math.fsum((pmf[:-1] * outside[:-1] * step)[moves]))
+            del step, inside, outside, moves  # freed before the size totals
+        by_size = pmf * game.value_by_size()
+        production = float(by_size.sum())
+    elif additive:
+        if players:
+            gain = game.player_values * model.prior_mean
+            # rho / (theta + rho), not 1 - prior_mean, which cancels when rho << theta.
+            loss = game.player_values * (model.rho / (model.theta + model.rho))
+            production = float(gain.sum())
+        if totals:
+            # Each player sits in C(n-1, t-1) of the C(n, t) coalitions of size t.
+            by_size = pmf * (np.arange(n + 1) / n) * float(game.player_values.sum())
+    elif (counts := _voting_counts(game, swings=players)) is not None:
         # A swing of player i + 1 from a coalition T of t others weighs
         # P(S = T + i) in the gain and P(S = T) in the loss.
         wins, swings = counts
         f = _subset_weights(pmf)
-        return swings @ f[1:], swings @ f[:-1], float((f * wins).sum())
-    if n > ENUMERATION_CAP:
-        raise CapacityError(
-            f"exact valuation by enumeration limited to n <= {ENUMERATION_CAP}; "
-            f"integer voting weights are counted up to n = {_COUNT_MAX_N}"
-        )
-    table = game.dense_values()
-    weight = _mask_weights(_subset_weights(pmf))  # P(S = T)
-    # Pair c of player i + 1 is (T, T + i), where T spreads the bits of c
-    # around bit i: T has |c| members, so P(S = T) = weight[c] and
-    # P(S = T + i) = weight[2^(n-1) + c], whichever the player.
-    half = 1 << (n - 1)
-    outside, inside = weight[:half], weight[half:]
-    gain, loss = np.empty(n), np.empty(n)
-    step, gained = np.empty(half), np.empty(half)
-    for i in range(n):
-        # Each term is one weighted marginal, so nothing cancels.
-        t = table.reshape(-1, 2, 1 << i)
-        np.subtract(t[:, 1], t[:, 0], out=step.reshape(-1, 1 << i))
-        np.multiply(inside, step, out=gained)
-        step *= outside
-        gain[i], loss[i] = gained.sum(), step.sum()
-    weight *= table
-    return gain, loss, float(weight.sum())
-
-
-def _exact_size_symmetric(game: Game, pmf: np.ndarray):
-    n = game.n
-    step = np.diff(game.value_by_size())  # u(t + 1) - u(t)
-    inside = np.arange(n + 1) / n  # C(n-1, t-1) / C(n, t)
-    outside = inside[::-1]  # C(n-1, t) / C(n, t)
-    moves = step != 0  # fsum only the sizes where u steps; it is slow over all n
-    gain = math.fsum((pmf[1:] * inside[1:] * step)[moves])
-    loss = math.fsum((pmf[:-1] * outside[:-1] * step)[moves])
-    return np.full(n, gain), np.full(n, loss)
-
-
-def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
-    """Exact per-player valuation.
-
-    Enumerates coalitions up to the cap, and counts those of each size and
-    weight for integer-weight voting games up to n = 66; size-symmetric and
-    additive games take closed-form routes that scale to any n.
-    """
-    _check_model_game(model, game)
-    # Additive games need no size law.
-    pmf = None if isinstance(game, AdditiveGame) else _size_pmf_vector(model)
-    return _exact_valuation(model, game, pmf)
-
-
-def _exact_valuation(model: CoalitionModel, game: Game, pmf: np.ndarray | None) -> Valuation:
-    """exact_valuation from the size pmf of the model (None for additive games)."""
-    if game.size_only:
-        gain, loss = _exact_size_symmetric(game, pmf)
-        production = float(_weighted_size_totals(game, pmf).sum())
-    elif isinstance(game, AdditiveGame):
-        gain = game.player_values * model.prior_mean
-        # rho / (theta + rho), not 1 - prior_mean, which cancels when rho << theta.
-        loss = game.player_values * (model.rho / (model.theta + model.rho))
-        production = float(gain.sum())
+        by_size = f * wins
+        production = float(by_size.sum())
+        if players:
+            gain, loss = swings @ f[1:], swings @ f[:-1]
     else:
-        gain, loss, production = _exact_dense(model, game, pmf)
+        if n > ENUMERATION_CAP:
+            raise CapacityError(
+                f"exact valuation by enumeration limited to n <= {ENUMERATION_CAP}; "
+                f"integer voting weights are counted up to n = {_COUNT_MAX_N}"
+            )
+        table = game.dense_values()
+        weight = _mask_weights(_subset_weights(pmf))  # P(S = T)
+        if players:
+            # Pair c of player i + 1 is (T, T + i), where T spreads the bits of
+            # c around bit i: T has |c| members, so P(S = T) = weight[c] and
+            # P(S = T + i) = weight[2^(n-1) + c], whichever the player.
+            half = 1 << (n - 1)
+            outside, inside = weight[:half], weight[half:]
+            gain, loss = np.empty(n), np.empty(n)
+            step, gained = np.empty(half), np.empty(half)
+            for i in range(n):
+                # Each term is one weighted marginal, so nothing cancels.
+                t = table.reshape(-1, 2, 1 << i)
+                np.subtract(t[:, 1], t[:, 0], out=step.reshape(-1, 1 << i))
+                np.multiply(inside, step, out=gained)
+                step *= outside
+                gain[i], loss[i] = gained.sum(), step.sum()
+        weight *= table
+        if players:
+            production = float(weight.sum())
+        if totals:
+            by_size = np.bincount(_popcounts(n), weights=weight, minlength=n + 1)
+    if not players:
+        return None, by_size
     gain.setflags(write=False)
     loss.setflags(write=False)
     return Valuation(
@@ -207,7 +186,22 @@ def _exact_valuation(model: CoalitionModel, game: Game, pmf: np.ndarray | None) 
         aggregate_loss=float(loss.sum()),
         expected_production=production,
         method="exact",
-    )
+    ), by_size if totals else None
+
+
+def expected_production(model: CoalitionModel, game: Game) -> float:
+    """Mean of v(S) under the coalition model."""
+    return float(_exact(model, game, players=False)[1].sum())
+
+
+def exact_valuation(model: CoalitionModel, game: Game) -> Valuation:
+    """Exact per-player valuation.
+
+    Enumerates coalitions up to the cap, and counts those of each size and
+    weight for integer-weight voting games up to n = 66; size-symmetric and
+    additive games take closed-form routes that scale to any n.
+    """
+    return _exact(model, game, totals=False)[0]
 
 
 def _fsum_nonzero(terms: np.ndarray) -> float:
@@ -220,7 +214,7 @@ def _fsum_nonzero(terms: np.ndarray) -> float:
 
 
 def _closed_form(model: CoalitionModel, weighted: np.ndarray, which: str) -> float:
-    """One aggregate from the size totals of _weighted_size_totals."""
+    """One aggregate from the by-size totals of _exact."""
     n, th, rh = model.n, model.theta, model.rho
     t = np.arange(n + 1, dtype=float)
     if which == "gain":
@@ -244,22 +238,12 @@ def _closed_form(model: CoalitionModel, weighted: np.ndarray, which: str) -> flo
 
 def aggregate_gain_closed_form(model: CoalitionModel, game: Game) -> float:
     """Sum of all marginal gains via the observable reformulation."""
-    return _closed_form(model, _size_totals(model, game), "gain")
+    return _closed_form(model, _exact(model, game, players=False)[1], "gain")
 
 
 def aggregate_loss_closed_form(model: CoalitionModel, game: Game) -> float:
     """Sum of all marginal losses via the observable reformulation."""
-    return _closed_form(model, _size_totals(model, game), "loss")
-
-
-def _closed_form_aggregates(
-    model: CoalitionModel, game: Game, pmf: np.ndarray
-) -> tuple[float, float]:
-    """(aggregate_gain_closed_form, aggregate_loss_closed_form) from the
-    model's size pmf and one pass of size totals."""
-    _check_model_game(model, game)
-    weighted = _weighted_size_totals(game, pmf)
-    return _closed_form(model, weighted, "gain"), _closed_form(model, weighted, "loss")
+    return _closed_form(model, _exact(model, game, players=False)[1], "loss")
 
 
 def _scaled(values: np.ndarray, scale: float) -> np.ndarray:

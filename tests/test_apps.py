@@ -96,6 +96,28 @@ class TestVotingPower:
         with pytest.raises(DomainError):
             voting_power(model, AdditiveGame([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("n", [3, 30])
+    @pytest.mark.parametrize(
+        "head, binary",
+        [([1.0], True), ([1.0, 1.0], False), ([0.5], False)],
+        ids=["one-dictator", "two-ones", "half"],
+    )
+    def test_additive_games_are_decided_from_their_values(self, n, head, binary):
+        # No table at any n: binary exactly when at most one value is 1 and
+        # the rest are 0.
+        model = CoalitionModel(n, 1.3, 0.8)
+        game = AdditiveGame(head + [0.0] * (n - len(head)))
+        if not binary:
+            with pytest.raises(DomainError, match=r"must take values in \{0,1\}"):
+                voting_power(model, game)
+            return
+        report = voting_power(model, game)
+        assert report.power[0] == pytest.approx(1.0, rel=1e-12)
+        assert np.all(report.power[1:] == 0.0)
+        if n == 3:
+            twin = voting_power(model, DenseTableGame(n, game.dense_values()))
+            np.testing.assert_allclose(report.power, twin.power, rtol=1e-14, atol=0)
+
     def test_rejects_non_monotone_games(self):
         model = CoalitionModel(2, 1.0, 1.0)
         # Player 1 alone passes but the full set blocks.

@@ -221,9 +221,9 @@ class TestDvalue:
 
     def test_enumeration_warns_once_per_enumerating_site(self):
         # Weights of 10^5 put 22 x (quota + 1) cells past the counts' budget,
-        # so this n = 21 game enumerates.  One warning per enumerating call
-        # site, in the order the job reaches them: the valuation, then the
-        # size totals, which also give the aggregates v(N).
+        # so this n = 21 game enumerates.  One warning per enumerating call,
+        # each from the one call site in dvalue._exact: the valuation, then
+        # the size totals, which also give the aggregates v(N).
         n = 21
         game = WeightedVotingGame(np.full(n, 1e5), 1e5 * (n // 2 + 1))
         assert production._voting_counts(game) is None
@@ -236,9 +236,7 @@ class TestDvalue:
         assert [str(w.message) for w in caught] == [message] * 2
         for w in caught:
             assert Path(w.filename).resolve() == Path(dvalue.__file__).resolve()
-        expected = [
-            _dense_values_call(f) for f in (dvalue._exact_dense, dvalue._weighted_size_totals)
-        ]
+        expected = [_dense_values_call(dvalue._exact)] * 2
         assert [w.lineno for w in caught] == [lineno for lineno, _ in expected]
 
     def test_one_size_law_for_both_aggregates(self, capsys, monkeypatch):
@@ -257,6 +255,62 @@ class TestDvalue:
             assert code == 0
             assert json.loads(out)["aggregate_lambda_closed_form"] is not None
             assert len(calls) == 1, method
+
+    @pytest.mark.parametrize(
+        "weights",
+        [[100_000] * 21, [(3 * k) % 7 + 1 for k in range(21)]],
+        ids=["enumerated", "counted"],
+    )
+    def test_one_table_count_and_size_law_per_command(self, weights, capsys, monkeypatch):
+        # The valuation and both closed forms share one pass of the exact
+        # path: one size law, one count call and, past the count limits, one
+        # table and one warning.
+        calls = {"dense_values": 0, "_voting_counts": 0, "_size_pmf_vector": 0}
+
+        def counted(name, fn):
+            return lambda *a, **k: calls.__setitem__(name, calls[name] + 1) or fn(*a, **k)
+
+        monkeypatch.setattr(
+            production.Game, "dense_values", counted("dense_values", production.Game.dense_values)
+        )
+        for name in ("_voting_counts", "_size_pmf_vector"):
+            monkeypatch.setattr(dvalue, name, counted(name, getattr(dvalue, name)))
+        game = "weighted:" + ",".join(map(str, weights)) + f":{sum(weights) // 2 + 1}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, _ = run_cli(
+                ["dvalue", "--game", game, *_SHAPE, "--method", "exact"], capsys
+            )
+        assert code == 0
+        assert json.loads(out)["aggregate_gamma_closed_form"] is not None
+        enumerated = int(weights[0] == 100_000)
+        assert calls == {"dense_values": enumerated, "_voting_counts": 1, "_size_pmf_vector": 1}
+        assert sum("enumerating" in str(w.message) for w in caught) == enumerated
+
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    @pytest.mark.parametrize(
+        "shape, singular",
+        [(("1e-300", "1"), "lambda"), (("1", "1e-300"), "gamma")],
+        ids=["theta-tiny", "rho-tiny"],
+    )
+    def test_vanishing_denominator_prints_a_null_closed_form(
+        self, shape, singular, method, capsys
+    ):
+        # theta + t - 1 vanishes at t = 1 in the loss coefficients, and
+        # rho + n - t - 1 at t = n - 1 in the gain's; the valuation stands.
+        argv = ["dvalue", "--game", "majority:3", "--theta", shape[0], "--rho", shape[1],
+                "--method", method, "--samples", "2000"]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        report = json.loads(out)
+        other = {"gamma": "lambda", "lambda": "gamma"}[singular]
+        assert report[f"aggregate_{singular}_closed_form"] is None
+        assert report[f"aggregate_{other}_closed_form"] is not None
+        if method == "exact":
+            model = CoalitionModel(3, float(shape[0]), float(shape[1]))
+            val = exact_valuation(model, production.KOutOfNGame(3, 2))
+            assert report["gamma"] == val.gain.tolist()
+            assert report["lambda"] == val.loss.tolist()
 
     def test_decimal_weights_decide_ties_exactly(self, capsys):
         # 0.1 + 0.7 < 0.8 in floats; read as decimals, {2, 3} meets the quota.

@@ -127,6 +127,13 @@ class TestExactValuation:
             assert abs(Fraction(got) / (v * share) - 1) <= 4e-16
 
 
+def _closed_forms(model, game):
+    """Both closed-form aggregates from one pass of by-size totals, as the
+    dvalue command forms them."""
+    totals = dvalue._exact(model, game, players=False)[1]
+    return [dvalue._closed_form(model, totals, which) for which in ("gain", "loss")]
+
+
 class TestAggregates:
     def test_zero_game(self):
         model = CoalitionModel(4, 1.3, 2.1)
@@ -192,10 +199,12 @@ class TestAggregates:
         model = CoalitionModel(game.n, *shape)
         expected = [aggregate_gain_closed_form(model, game), aggregate_loss_closed_form(model, game)]
         calls = []
-        for name in ("_size_pmf_vector", "_weighted_size_totals"):
+        for name in ("_size_pmf_vector", "_exact"):
             fn = getattr(dvalue, name)
-            monkeypatch.setattr(dvalue, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
-        got = dvalue._closed_form_aggregates(model, game, dvalue._size_pmf_vector(model))
+            monkeypatch.setattr(
+                dvalue, name, lambda *a, fn=fn, **k: calls.append(1) or fn(*a, **k)
+            )
+        got = _closed_forms(model, game)
         assert list(map(float.hex, got)) == list(map(float.hex, expected))
         assert len(calls) == 2  # one size law, one pass of size totals
 
@@ -212,10 +221,9 @@ class TestAggregates:
     @pytest.mark.parametrize("shape", [(2.0, 3.0), (1e6, 1.0), (1.0, 1e6), (0.05, 0.05)])
     def test_sum_of_nonzero_terms_matches_the_full_fsum(self, game, shape, monkeypatch):
         model = CoalitionModel(game.n, *shape)
-        pmf = dvalue._size_pmf_vector(model)
-        fast = dvalue._closed_form_aggregates(model, game, pmf)
+        fast = _closed_forms(model, game)
         monkeypatch.setattr(dvalue, "_fsum_nonzero", math.fsum)
-        full = dvalue._closed_form_aggregates(model, game, pmf)
+        full = _closed_forms(model, game)
         assert list(map(float.hex, fast)) == list(map(float.hex, full))
 
     @pytest.mark.parametrize("shape", [(1.0, 1e-13), (1e-13, 1.0)])
@@ -226,7 +234,7 @@ class TestAggregates:
         with pytest.raises(SingularSystemError) as expected:
             first(model, game)
         with pytest.raises(SingularSystemError) as got:
-            dvalue._closed_form_aggregates(model, game, dvalue._size_pmf_vector(model))
+            _closed_forms(model, game)
         assert str(got.value) == str(expected.value)
 
 

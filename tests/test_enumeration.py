@@ -135,7 +135,7 @@ def test_enumerated_valuation_matches_per_player_masks(name, n, shape):
     assert val.expected_production == production_
     totals = masked_size_totals(model, table)
     assert expected_production(model, game) == float(totals.sum())
-    by_masks = dvalue._weighted_size_totals(DenseTableGame(n, table), _size_pmf_vector(model))
+    by_masks = dvalue._exact(model, DenseTableGame(n, table), players=False)[1]
     assert by_masks.tobytes() == totals.tobytes()
 
 
@@ -148,7 +148,7 @@ def test_gain_aggregate_takes_v_of_n_from_its_one_table(name, n, monkeypatch):
     model = CoalitionModel(n, 2.5, 1.5)
     pmf = _size_pmf_vector(model)
     last = game.dense_values()[-1]
-    assert dvalue._weighted_size_totals(game, pmf)[n] == pmf[n] * last
+    assert dvalue._exact(model, game, players=False)[1][n] == pmf[n] * last
     builds = []
     build = type(game).dense_values
     monkeypatch.setattr(
@@ -156,6 +156,39 @@ def test_gain_aggregate_takes_v_of_n_from_its_one_table(name, n, monkeypatch):
     )
     aggregate_gain_closed_form(model, game)
     assert len(builds) == (0 if name == "voting-integer" else 1)
+
+
+def _hex(x):
+    return list(map(float.hex, np.atleast_1d(x)))
+
+
+@pytest.mark.parametrize("shape", [(2.5, 1.5), (1e6, 1.0), (1.0, 1e6)])
+@pytest.mark.parametrize(
+    "name", ["size-table", "additive-real", "voting-integer", "dense", "voting-tenths"]
+)
+def test_selector_serves_each_request_with_the_same_bits(name, shape):
+    # One game per exact path: the size law, the prior mean, counts, a stored
+    # table and the bit-matrix fallback.  Asking for the valuation alone, the
+    # totals alone or both moves no bit of either.
+    n = 9
+    game = _game(name, n)
+    model = CoalitionModel(n, *shape)
+    players, none = dvalue._exact(model, game, totals=False)
+    none_too, totals = dvalue._exact(model, game, players=False)
+    both, both_totals = dvalue._exact(model, game)
+    assert none is None and none_too is None
+    assert totals.tobytes() == both_totals.tobytes()
+    ref = exact_valuation(model, game)
+    for val in (players, both):
+        for field in ("gain", "loss", "aggregate_gain", "aggregate_loss", "expected_production"):
+            assert _hex(getattr(val, field)) == _hex(getattr(ref, field)), field
+    for which, closed_form in (
+        ("gain", aggregate_gain_closed_form), ("loss", aggregate_loss_closed_form)
+    ):
+        expected = _hex(closed_form(model, game))
+        for t in (totals, both_totals):
+            assert _hex(dvalue._closed_form(model, t, which)) == expected
+    assert _hex(float(totals.sum())) == _hex(expected_production(model, game))
 
 
 def _voting_table(n, rng):

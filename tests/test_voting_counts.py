@@ -13,7 +13,7 @@ import pytest
 
 from dichotomy import dvalue, production
 from dichotomy.apps import voting_power
-from dichotomy.coalition import CoalitionModel, _size_pmf_vector
+from dichotomy.coalition import CoalitionModel
 from dichotomy.dvalue import (
     aggregate_gain_closed_form,
     aggregate_loss_closed_form,
@@ -91,7 +91,7 @@ def test_valuation_matches_mpmath_enumeration(name):
             err = _relative_error(got, exact)
             assert err <= 1e-13
             assert err <= _relative_error(ref, exact) + 4 * EPS
-        by_size = dvalue._weighted_size_totals(game, _size_pmf_vector(model))
+        by_size = dvalue._exact(model, game, players=False)[1]
         assert _relative_error(by_size, totals) <= 1e-13
         assert _relative_error([val.expected_production], [production_]) <= 1e-13
         assert expected_production(model, game) == val.expected_production
