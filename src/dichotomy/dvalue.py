@@ -9,9 +9,13 @@ aggregates and Monte Carlo estimators cover the regimes where full
 enumeration is out of reach.  ``_exact`` alone picks a game's exact path
 (size law, additive, integer-vote counts or the 2^n table) and serves the
 valuation, the by-size totals of the closed forms, or both from one pass.
+Monte Carlo on a table game that draws at least 2^n samples counts how often
+each coalition is drawn and weighs each (T, T + i) pair once, as ``_exact``
+weighs it by P(S = T); every other game flips its sampled rows.
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,7 @@ from .coalition import CoalitionModel, _size_pmf_vector, sample_memberships, spa
 from .errors import CapacityError, DomainError, InvariantViolation, SingularSystemError
 from .production import (
     AdditiveGame,
+    DenseTableGame,
     ENUMERATION_CAP,
     Game,
     _COUNT_MAX_N,
@@ -43,6 +48,8 @@ __all__ = [
 # Membership cells (rows x players) per Monte Carlo chunk, or one row when n
 # is larger; the chunk depends on n only, not on the worker count.
 _MC_CELLS = 1 << 16
+# Each stream is a generator of about 1 KB that takes about 18 us to spawn.
+_MAX_STREAMS = 1 << 10
 # Monte Carlo sums squares of values and marginals.  A game whose values may
 # reach 2**_MC_MAX_EXP is scaled by a power of two, which is exact, so that
 # |marginal| < 2**401 and the sums of squares stay finite up to 2**220 samples.
@@ -288,6 +295,48 @@ def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float)
     return acc
 
 
+def _mc_count(model: CoalitionModel, game: DenseTableGame, rng, count: int, drawn, lock) -> None:
+    """Adds to ``drawn`` (int64, by bitmask) how often one stream draws each
+    coalition of a table game, from the chunks that _mc_stream would draw."""
+    rows = max(1, _MC_CELLS // model.n)
+    for done in range(0, count, rows):
+        members = sample_memberships(model, rng, min(rows, count - done))
+        masks = game._weight_sums(members)  # members @ 2^(i-1), the bitmask
+        with lock:  # integer counts: exact in any order
+            np.add.at(drawn, masks, 1)
+
+
+def _mc_table_sums(game: DenseTableGame, drawn: np.ndarray, scale: float) -> np.ndarray:
+    """The sums of _mc_stream from the draw counts of a table game.
+
+    A row S = T + i adds the step v(T + i) - v(T) to the gain of player
+    i + 1, and a row S = T adds it to the loss, so each pair (T, T + i) is
+    weighed once, by the count of T + i and by the count of T, where
+    ``_exact`` weighs it by P(S = T + i) and P(S = T).
+    """
+    n = game.n
+    acc = np.zeros(4 * n + 3)
+    per_player = acc[: 4 * n].reshape(2, 2, n)
+    count = drawn.astype(float)  # exact below 2^53 samples
+    values = _scaled(game.table, scale)
+    half = 1 << (n - 1)
+    step, weighed = np.empty(half), np.empty(half)
+    for i in range(n):
+        t, c = values.reshape(-1, 2, 1 << i), count.reshape(-1, 2, 1 << i)
+        np.subtract(t[:, 1], t[:, 0], out=step.reshape(-1, 1 << i))
+        # Added into the zeroed sums, as _mc_stream adds its column sums.
+        for block, rows in zip(per_player, (c[:, 1], c[:, 0])):
+            np.multiply(rows, step.reshape(-1, 1 << i), out=weighed.reshape(-1, 1 << i))
+            block[0, i] += weighed.sum()
+            weighed *= step
+            block[1, i] += weighed.sum()
+    count *= values  # in place: c v, then c v^2
+    production = count.sum()
+    count *= values
+    acc[4 * n :] += (production, count.sum(), drawn.sum())
+    return acc
+
+
 def _tree_reduce(parts: list[np.ndarray]) -> np.ndarray:
     while len(parts) > 1:
         merged = [parts[k] + parts[k + 1] for k in range(0, len(parts) - 1, 2)]
@@ -316,39 +365,55 @@ def mc_valuation(
     """Monte Carlo valuation with per-entry standard errors.
 
     Samples are split across ``streams`` independent generators spawned from
-    the seed, and stream partials are combined by a fixed pairwise tree, so
-    the result depends on (seed, streams) but not on ``max_workers``.
+    the seed (at most 1024), and stream partials are combined by a fixed
+    pairwise tree, so the result depends on (seed, streams) but not on
+    ``max_workers``; the pool holds at most one thread per stream.
+
+    A table game drawn at least 2^n times (``1 << n <= samples``) is not
+    flipped row by row: the streams add up how often each coalition is
+    drawn, which is exact in any order, and one pass over the table weighs
+    each (T, T + i) pair by those counts.  Its draws are the same; its sums
+    are the same up to the order of addition, so an integer-valued table
+    prints the same bytes either way.
     """
     _check_model_game(model, game)
     if samples < 1:
         raise DomainError("need at least one sample")
-    if streams < 1:
-        raise DomainError("need at least one stream")
+    if not 1 <= streams <= _MAX_STREAMS:
+        raise DomainError(f"need 1 to {_MAX_STREAMS} streams, got {streams}")
     if max_workers < 1:
         raise DomainError(f"need at least one worker thread, got {max_workers}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    n = model.n
     streams = min(streams, samples)
     rngs = spawn_streams(seed, streams)
     shift = max(0, math.frexp(game.value_bound())[1] - _MC_MAX_EXP)
     scale, unscale = math.ldexp(1.0, -shift), math.ldexp(1.0, shift)
     base, extra = divmod(samples, streams)
     counts = [base + (1 if k < extra else 0) for k in range(streams)]
-    if max_workers > 1:
+    counted = isinstance(game, DenseTableGame) and 1 << n <= samples
+    if counted:
+        drawn = np.zeros(1 << n, np.int64)
+        lock = threading.Lock()
+
+        def work(k):
+            _mc_count(model, game, rngs[k], counts[k], drawn, lock)
+    else:
+
+        def work(k):
+            return _mc_stream(model, game, rngs[k], counts[k], scale)
+
+    workers = min(max_workers, streams)
+    if workers > 1:
         # Imported here: a module-level import costs every cold start 4 ms.
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda kr: _mc_stream(model, game, kr[1], counts[kr[0]], scale),
-                    enumerate(rngs),
-                )
-            )
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(work, range(streams)))
     else:
-        parts = [_mc_stream(model, game, rng, c, scale) for rng, c in zip(rngs, counts)]
-    acc = _tree_reduce(parts)
-    n = model.n
+        parts = [work(k) for k in range(streams)]
+    acc = _mc_table_sums(game, drawn, scale) if counted else _tree_reduce(parts)
     total = int(acc[4 * n + 2])
     gain_sum, gain_sq, loss_sum, loss_sq = acc[: 4 * n].reshape(4, n)
     gain = gain_sum / total * unscale

@@ -7,6 +7,7 @@ test.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -311,6 +312,17 @@ def masked_is_monotone(table, n) -> bool:
     return not any(
         np.any(table[masks | (1 << i)] < table[masks & ~(1 << i)]) for i in range(n)
     )
+
+
+def peak_tables(fn, n) -> float:
+    """Peak traced allocation of fn(), in tables of 2^n floats."""
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / ((1 << n) * 8)
 
 
 # --- weighted voting, counted coalition by coalition --------------------------

@@ -5,7 +5,6 @@ and per-player masks byte for byte, and stay within a few tables of memory.
 """
 
 import operator
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from _oracles import (
     masked_is_monotone,
     masked_outperforms,
     masked_size_totals,
+    peak_tables,
 )
 
 
@@ -264,17 +264,6 @@ def test_voting_certificate_matches_masks():
     assert seen == {True, False}
 
 
-def _peak_tables(fn, n) -> float:
-    """Peak traced allocation of fn(), in tables of 2^n floats."""
-    tracemalloc.start()
-    try:
-        fn()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return peak / ((1 << n) * 8)
-
-
 class TestMemory:
     n = 18
 
@@ -284,14 +273,14 @@ class TestMemory:
 
     def test_table_build(self):
         _, game = self._setup()
-        assert _peak_tables(game.dense_values, self.n) <= 4
+        assert peak_tables(game.dense_values, self.n) <= 4
 
     @pytest.mark.parametrize(
         "fn", [exact_valuation, aggregate_gain_closed_form, aggregate_loss_closed_form]
     )
     def test_valuation_and_aggregates(self, fn):
         model, game = self._setup()
-        assert _peak_tables(lambda: fn(model, game), self.n) <= 8
+        assert peak_tables(lambda: fn(model, game), self.n) <= 8
 
     @pytest.mark.parametrize(
         "fn", [exact_valuation, aggregate_gain_closed_form, aggregate_loss_closed_form]
@@ -301,4 +290,4 @@ class TestMemory:
         # takes the enumeration paths, and is itself allocated beforehand.
         model = CoalitionModel(self.n, 2.0, 3.0)
         game = random_dense_game(self.n, np.random.default_rng(5))
-        assert _peak_tables(lambda: fn(model, game), self.n) <= 3
+        assert peak_tables(lambda: fn(model, game), self.n) <= 3

@@ -1,0 +1,257 @@
+"""Monte Carlo on a table game that draws at least 2^n samples.
+
+Such a game is not flipped row by row: the streams count how often each
+coalition is drawn, and one pass weighs each (T, T + i) pair by the counts.
+The draws are those of the row stream, so on an integer-valued table, where
+every sum is exact in any order, the output is byte for byte that of the
+rows; on any table the means stay within rounding of the exact means of the
+same draws.  The counts take memory independent of the stream count, and
+the stream count and the thread pool are bounded before anything starts.
+"""
+
+import concurrent.futures
+import json
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from dichotomy import cli, dvalue
+from dichotomy.coalition import CoalitionModel, sample_memberships, spawn_streams
+from dichotomy.dvalue import mc_valuation
+from dichotomy.errors import DomainError
+from dichotomy.production import (
+    DenseTableGame,
+    Game,
+    KOutOfNGame,
+    SizeSymmetricGame,
+    WeightedVotingGame,
+    random_dense_game,
+)
+
+from _oracles import peak_tables
+
+
+class _Rows(Game):
+    """A table game that is not a DenseTableGame, so Monte Carlo flips its rows."""
+
+    def __init__(self, table: DenseTableGame):
+        self.n, self._w, self._table = table.n, table._w, table
+
+    def _phi(self, stat):
+        return self._table._phi(stat)
+
+    def _flip_stats(self, sums, members):
+        return self._table._flip_stats(sums, members)
+
+    def value_bound(self):
+        return self._table.value_bound()
+
+
+def _twin(game) -> DenseTableGame:
+    return DenseTableGame(game.n, game.dense_values())
+
+
+def _integers_and_signed_zeros(n: int) -> DenseTableGame:
+    rng = np.random.default_rng(8)
+    values = rng.integers(-3, 4, 1 << n).astype(float)
+    values[rng.random(1 << n) < 0.3] = -0.0
+    values[0] = 0.0
+    return DenseTableGame(n, values)
+
+
+_VOTING = WeightedVotingGame([5, 3, 3, 2, 1, 1, 4, 2, 6], 13)
+_KOFN = KOutOfNGame(10, 4)
+_SIZE_ZEROS = SizeSymmetricGame(6, [0.0, -0.0, 0.0, 1.0, -0.0, -0.0, 0.0])
+_HUGE = SizeSymmetricGame(7, (np.arange(8) >= 3) * 2.0**1000)
+_MIXED = _integers_and_signed_zeros(7)
+# Every step of player 1 is -0.0 - 0.0 = -0.0, and every other step 0.0.
+_ZEROS = DenseTableGame(6, np.where(np.arange(64) & 1, -0.0, 0.0))
+_DUMMY = DenseTableGame(6, np.tile(KOutOfNGame(5, 2).dense_values(), 2))  # player 6 adds 0
+
+# The table each case counts, and a game that samples the same values row by
+# row: the family game the table was built from, or the table behind _Rows.
+CASES = {
+    "k-of-n": (_twin(_KOFN), _KOFN),
+    "voting-integer": (_twin(_VOTING), _VOTING),
+    "size-signed-zeros": (_twin(_SIZE_ZEROS), _SIZE_ZEROS),
+    "k-of-n-huge": (_twin(_HUGE), _HUGE),
+    "table-signed-zeros": (_MIXED, _Rows(_MIXED)),
+    "table-of-zeros": (_ZEROS, _Rows(_ZEROS)),
+    "dummy-player": (_DUMMY, _Rows(_DUMMY)),
+}
+
+
+def _json(v) -> str:
+    return json.dumps(v.to_json_dict())  # keeps the sign of a zero
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("streams, workers", [(1, 1), (8, 1), (8, 2)])
+def test_integer_tables_print_the_bytes_of_the_rows(name, streams, workers, monkeypatch):
+    table, rows = CASES[name]
+    counted = []
+    monkeypatch.setattr(dvalue, "_mc_stream", _recording(dvalue._mc_stream, counted))
+    for theta, rho in ((2.0, 3.0), (0.4, 0.6)):
+        model = CoalitionModel(table.n, theta, rho)
+        samples = (1 << table.n) + 3 * max(1, dvalue._MC_CELLS // table.n) + 17
+        got = mc_valuation(model, table, samples, 5, streams, workers)
+        assert not counted  # the table took the counted route
+        want = mc_valuation(model, rows, samples, 5, streams, workers)
+        assert counted
+        counted.clear()
+        assert _json(got) == _json(want)
+        # A sum of -0.0 terms is added into the zeroed sums: it prints 0.0.
+        for x in (got.gain, got.loss, got.gain_se, got.loss_se):
+            assert not np.signbit(x[x == 0.0]).any()
+
+
+def _recording(stream, calls):
+    def recorded(*args):
+        calls.append(args)
+        return stream(*args)
+
+    return recorded
+
+
+def _drawn(model, samples, seed, streams) -> np.ndarray:
+    """How often each bitmask is drawn, from the streams and chunks of the
+    row stream, recounted here coalition by coalition."""
+    n = model.n
+    rows = max(1, dvalue._MC_CELLS // n)
+    base, extra = divmod(samples, streams)
+    drawn = np.zeros(1 << n, np.int64)
+    for k, rng in enumerate(spawn_streams(seed, streams)):
+        count = base + (1 if k < extra else 0)
+        for done in range(0, count, rows):
+            for row in sample_memberships(model, rng, min(rows, count - done)):
+                drawn[sum(1 << i for i in np.flatnonzero(row))] += 1
+    return drawn
+
+
+def _exact_means(table, drawn, n):
+    """Exact sample means of the gains, losses and production of the drawn
+    coalitions, with their mean absolute terms, from Fractions."""
+    total = int(drawn.sum())
+    v = [Fraction(float(x)) for x in table]
+    gain, loss = [Fraction(0)] * n, [Fraction(0)] * n
+    gain_abs, loss_abs = [Fraction(0)] * n, [Fraction(0)] * n
+    production = production_abs = Fraction(0)
+    for mask in np.flatnonzero(drawn).tolist():
+        c = int(drawn[mask])
+        production += c * v[mask]
+        production_abs += c * abs(v[mask])
+        for i in range(n):
+            bit = 1 << i
+            if mask & bit:  # employed: v(T) - v(T - i)
+                step = v[mask] - v[mask ^ bit]
+                gain[i] += c * step
+                gain_abs[i] += c * abs(step)
+            else:  # unemployed: v(T + i) - v(T)
+                step = v[mask | bit] - v[mask]
+                loss[i] += c * step
+                loss_abs[i] += c * abs(step)
+    scale = Fraction(1, total)
+    return (
+        [(g * scale, a * scale) for g, a in zip(gain, gain_abs)],
+        [(l * scale, a * scale) for l, a in zip(loss, loss_abs)],
+        (production * scale, production_abs * scale),
+    )
+
+
+def _oracle_cases(count=20):
+    rng = np.random.default_rng(2024)
+    for k in range(count):
+        n = 3 + k % 10
+        game = random_dense_game(n, rng)
+        theta, rho = (float(x) for x in rng.uniform(0.3, 4.0, 2))
+        samples = (1 << n) + int(rng.integers(0, 3000))
+        yield n, game, CoalitionModel(n, theta, rho), samples, int(rng.integers(0, 2**31))
+
+
+@pytest.mark.parametrize("streams", [1, 8])
+def test_within_rounding_of_the_exact_mean_of_the_same_draws(streams, monkeypatch):
+    # A pairwise sum of m terms is within about log2(m) eps of its absolute
+    # sum; the products and the division add two more roundings.
+    seen = []
+    monkeypatch.setattr(dvalue, "_mc_table_sums", _recording(dvalue._mc_table_sums, seen))
+    eps = np.finfo(float).eps
+    for n, game, model, samples, seed in _oracle_cases():
+        seen.clear()
+        val = mc_valuation(model, game, samples, seed, streams)
+        drawn = _drawn(model, samples, seed, min(streams, samples))
+        assert len(seen) == 1 and np.array_equal(seen[0][1], drawn)
+        gain, loss, production = _exact_means(game.table, drawn, n)
+        bound = (n + 4) * eps
+        for got, (mean, scale) in [
+            *zip(val.gain, gain), *zip(val.loss, loss), (val.expected_production, production),
+        ]:
+            assert abs(Fraction(float(got)) - mean) <= bound * scale
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("streams", [8, 64])
+def test_counts_take_memory_independent_of_the_stream_count(workers, streams):
+    # One int64 count table shared by every stream, and while drawing, one
+    # chunk of at most 2^16 cells per busy worker (the table's size here);
+    # the final pass adds a float copy of the counts and two half tables.
+    n = 16
+    model = CoalitionModel(n, 2.0, 3.0)
+    game = random_dense_game(n, np.random.default_rng(3))
+    run = lambda: mc_valuation(model, game, 1 << n, 7, streams, workers)  # noqa: E731
+    assert peak_tables(run, n) <= 3.5 + workers
+
+
+def _no_spawn(seed, count):
+    raise AssertionError(f"spawned {count} generators")
+
+
+def test_stream_limit_rejects_before_spawning(monkeypatch):
+    monkeypatch.setattr(dvalue, "spawn_streams", _no_spawn)
+    model, game = CoalitionModel(3, 1.0, 1.0), KOutOfNGame(3, 2)
+    with pytest.raises(DomainError, match="1 to 1024 streams, got 1025"):
+        mc_valuation(model, game, 10_000_000, 0, streams=1025)
+    monkeypatch.setattr(dvalue, "_MAX_STREAMS", 4)
+    with pytest.raises(DomainError, match="1 to 4 streams, got 5"):
+        mc_valuation(model, game, 100, 0, streams=5)
+
+
+def test_cli_stream_limit_is_one_line_and_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(dvalue, "spawn_streams", _no_spawn)
+    argv = ["dvalue", "--game", "majority:5", "--theta", "1", "--rho", "1", "--method", "mc",
+            "--samples", "10000000", "--streams", "10000000"]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: need 1 to 1024 streams, got 10000000\n"
+
+
+class _InlinePool:
+    """A ThreadPoolExecutor stand-in that records its size and starts no thread."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("game", [KOutOfNGame(6, 3), _twin(KOutOfNGame(6, 3))], ids=["rows", "counts"])
+@pytest.mark.parametrize(
+    "streams, threads, pool", [(3, 1000, 3), (8, 2, 2), (1, 64, None), (5, 1, None)]
+)
+def test_pool_holds_at_most_one_thread_per_stream(game, streams, threads, pool, monkeypatch):
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    model = CoalitionModel(6, 2.0, 3.0)
+    got = mc_valuation(model, game, 500, 3, streams, threads)
+    assert _InlinePool.sizes == ([] if pool is None else [pool])
+    assert _json(got) == _json(mc_valuation(model, game, 500, 3, streams, 1))
