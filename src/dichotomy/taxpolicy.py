@@ -10,15 +10,15 @@ closed form is expressed through ten polynomial shorthands in
 tau = 1 - omega + delta*omega, which is also the rule selected by every
 asymptotic risk criterion in this package.
 
-``solve_theta_rho`` solves one cell in software extended precision and
-loads no numpy; the grid solvers import it when they run.
+``solve_theta_rho`` solves one cell exactly on ``fractions.Fraction`` and
+rounds once, loading no numpy; the grid solvers run the same expressions in
+``np.longdouble`` and import numpy when they run.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 import warnings
 from dataclasses import astuple, dataclass
 from fractions import Fraction
@@ -71,16 +71,17 @@ def _solver_values(w, t, e) -> tuple:
     """d, d1, d2, d3 and d4, the shorthands the closed-form solve uses.
 
     The arguments may be Python floats, numpy scalars or arrays, or
-    ``_X87`` numbers: the solvers evaluate the same expressions in float64,
-    for the singular band, and in extended precision, for the solution.
+    Fractions: the solvers evaluate the same expressions in float64, for the
+    singular band, in ``np.longdouble`` for a grid's solution, and exactly
+    for one cell's.  The literals are ints, which keep each type as it is.
     """
     return (
-        w + t - e * w - 1.0,
-        e * w - w - t + 2.0,
-        e * w * t - 2.0 * e * w - w * t * t + 2.0 * w * t + t - 1.0,
+        w + t - e * w - 1,
+        e * w - w - t + 2,
+        e * w * t - 2 * e * w - w * t * t + 2 * w * t + t - 1,
         e - t - e * t + t * t,
-        (-e * w * t + e * w + e * t - 2.0 * e + w * t * t - 2.0 * w * t + w
-         - t * t + 3.0 * t - 1.0),
+        (-e * w * t + e * w + e * t - 2 * e + w * t * t - 2 * w * t + w
+         - t * t + 3 * t - 1),
     )
 
 
@@ -177,126 +178,33 @@ def tax_rate_from_welfare(
     return delta + (s * (theta + rho - 1.0) - n * (theta - 1.0)) / den
 
 
-class _X87:
-    """A real number in the arithmetic of the x87 80-bit long double.
-
-    Every + - * / is taken exactly on ``fractions.Fraction`` and rounded to
-    a 64-bit significand, ties to even, as x86-64 ``np.longdouble`` rounds
-    it, so the one-cell solve gives the bits of the grid solver there
-    without numpy, and on every platform.  From finite float64 inputs the
-    solver's intermediates stay far inside that format's exponent range,
-    so none overflows or underflows.  ``v`` is a Fraction when finite and
-    non-zero, and otherwise a float, so zeros keep their sign; zeros, inf
-    and nan follow IEEE rules.
-    """
-
-    __slots__ = ("v",)
-
-    def __init__(self, x):
-        if isinstance(x, float):
-            self.v = Fraction(x) if x and math.isfinite(x) else x
-        else:  # a Fraction or an int, rounded as np.longdouble(x) rounds it
-            x = _round64(x)
-            self.v = x if x else 0.0  # an exact cancellation gives +0
-
-    def _apply(self, other, op, reflected=False):
-        a, b = self.v, (other if isinstance(other, _X87) else _X87(other)).v
-        if reflected:
-            a, b = b, a
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return _X87(op(a, b))
-        if op is operator.truediv and b == 0:
-            if a == 0 or a != a:
-                return _X87(math.nan)
-            return _X87(math.copysign(math.inf, _sign(a)) * math.copysign(1.0, b))
-        if _finite(a) and _finite(b):  # a zero and a finite number
-            r = op(Fraction(a), Fraction(b))
-            if r:  # a sum or a difference: the other number, exactly
-                return _X87(r)
-        # A zero result, or an inf or a nan: the float rules on the signs.
-        return _X87(op(_sign(a), _sign(b)))
-
-    def __add__(self, other):
-        return self._apply(other, operator.add)
-
-    def __radd__(self, other):
-        return self._apply(other, operator.add, True)
-
-    def __sub__(self, other):
-        return self._apply(other, operator.sub)
-
-    def __rsub__(self, other):
-        return self._apply(other, operator.sub, True)
-
-    def __mul__(self, other):
-        return self._apply(other, operator.mul)
-
-    def __rmul__(self, other):
-        return self._apply(other, operator.mul, True)
-
-    def __truediv__(self, other):
-        return self._apply(other, operator.truediv)
-
-    def __neg__(self):
-        return _X87(-self.v)
-
-    def __abs__(self):
-        return _X87(abs(self.v))
-
-    def __eq__(self, other):
-        return self.v == other
-
-    def __float__(self):
-        try:
-            return float(self.v)
-        except OverflowError:  # where the long double rounds to inf
-            return -math.inf if self.v < 0 else math.inf
-
-
-def _finite(x) -> bool:
-    return isinstance(x, Fraction) or math.isfinite(x)
-
-
-def _sign(x) -> float:
-    """A float of a Fraction's sign; a float itself."""
-    return float((x > 0) - (x < 0)) if isinstance(x, Fraction) else x
-
-
-def _round64(x) -> Fraction:
-    """A Fraction or an int rounded to a 64-bit significand, ties to even."""
-    p, q = x.numerator, x.denominator
-    if not p:
-        return x
-    # |x| / 2^shift lies in (2^63, 2^65).
-    shift = abs(p).bit_length() - q.bit_length() - 64
-    num, den = abs(p) << max(-shift, 0), q << max(shift, 0)
-    m, r = divmod(num, den)
-    if m >> 64:
-        m, r, den, shift = m >> 1, (m & 1) * den + r, 2 * den, shift + 1
-    if 2 * r > den or (2 * r == den and m & 1):
-        m += 1
-    m = m if p > 0 else -m
-    return Fraction(m << shift) if shift >= 0 else Fraction(m, 1 << -shift)
-
-
 def _closed_form(n, w, e, t) -> tuple:
     """theta and rho, unrounded, in the arithmetic of the arguments."""
     d, d1, d2, d3, d4 = _solver_values(w, t, e)
     den = n * d + d3
-    return (n * n * w * d1 + n * d2 + d3) / den, (n * n * (1.0 - w) * d1 + n * d4 + d3) / den
+    return (n * n * w * d1 + n * d2 + d3) / den, (n * n * (1 - w) * d1 + n * d4 + d3) / den
 
 
 def _misfits(n, w, e, t, theta, rho) -> tuple:
     """|rate - t| through the benefits and the welfare identity at s = n*w,
-    each with its denominator."""
+    each with its denominator.  A zero denominator divides as 1, so that a
+    Fraction does not raise; the callers set that misfit to inf."""
     s = n * w
-    hired = s * (theta + rho - 1.0)
-    den8 = rho + n - s - 1.0
-    den9 = theta + s - 1.0
+    hired = s * (theta + rho - 1)
+    den8 = rho + n - s - 1
+    den9 = theta + s - 1
     return (
-        abs(1.0 - (hired - n * theta) / den8 - t), den8,
-        abs(e + (hired - n * (theta - 1.0)) / den9 - t), den9,
+        abs(1 - (hired - n * theta) / (den8 + (den8 == 0)) - t), den8,
+        abs(e + (hired - n * (theta - 1)) / (den9 + (den9 == 0)) - t), den9,
     )
+
+
+def _nearest(x: Fraction) -> float:
+    """The double nearest x; +-inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _solve_cells(n, omega, delta, taus: np.ndarray) -> tuple[ProbeColumns, np.ndarray]:
@@ -340,10 +248,13 @@ def solve_theta_rho(n: float, omega: float, delta: float, tau: float) -> TaxSolu
 
     The identities are algebraic in s, so a non-integral n*omega is accepted
     as-is.  Raises when the denominator sits inside the singular band
-    |n*d + d3| < 1e-12 * n around the line tau = 1 - omega + delta*omega.
-    The cell is solved as one cell of ``probe_columns``, bit for bit: the
-    band test and the shorthands in float64, theta, rho and the residuals
-    in ``_X87`` arithmetic, x86-64's longdouble.
+    |n*d + d3| < 1e-12 * n around the line tau = 1 - omega + delta*omega,
+    or is exactly zero.  The band test and the shorthands are float64, as in
+    ``probe_columns``; theta, rho and then the residuals at the rounded pair
+    are taken exactly on ``fractions.Fraction`` (an integer n as given) and
+    rounded once, to +-inf past the float range.  Where theta or rho is
+    infinite, the residuals are what IEEE arithmetic gives: nan, or inf for
+    the welfare residual when rho alone is.
     """
     inputs = PolicyInputs(n=float(n), omega=float(omega), delta=float(delta), tau=float(tau))
     nf, w_f, e_f, t_f = inputs.n, inputs.omega, inputs.delta, inputs.tau
@@ -354,19 +265,27 @@ def solve_theta_rho(n: float, omega: float, delta: float, tau: float) -> TaxSolu
             f"system degenerates near tau = 1 - omega + delta*omega "
             f"(n*d + d3 = {den:.3e})"
         )
-    # An integer n enters as np.longdouble(n) holds it, exactly below 2^64.
-    n_ = _X87(int(n) if isinstance(n, numbers.Integral) else nf)
-    w, e, t = _X87(w_f), _X87(e_f), _X87(t_f)
-    theta, rho = map(float, _closed_form(n_, w, e, t))
-    r8, den8, r9, den9 = _misfits(n_, w, e, t, _X87(theta), _X87(rho))
-    scale = max(1.0, abs(t_f))
+    n_ = Fraction(int(n) if isinstance(n, numbers.Integral) else nf)
+    w, e, t = Fraction(w_f), Fraction(e_f), Fraction(t_f)
+    try:
+        theta, rho = map(_nearest, _closed_form(n_, w, e, t))
+    except ZeroDivisionError:  # float rounding hid it from the band test
+        raise SingularSystemError("system degenerates: n*d + d3 = 0 exactly") from None
+    r8 = r9 = math.nan
+    if math.isfinite(theta) and math.isfinite(rho):
+        r8, den8, r9, den9 = _misfits(n_, w, e, t, Fraction(theta), Fraction(rho))
+        scale = max(1, abs(t))
+        r8 = math.inf if den8 == 0 else _nearest(r8 / scale)
+        r9 = math.inf if den9 == 0 else _nearest(r9 / scale)
+    elif math.isfinite(theta):  # rho alone overflowed: so does the welfare quotient
+        r9 = math.inf
     return TaxSolution(
         theta=theta,
         rho=rho,
         inputs=inputs,
         shorthands=sh,
-        residual_benefits=math.inf if den8 == 0 else float(r8) / scale,
-        residual_welfare=math.inf if den9 == 0 else float(r9) / scale,
+        residual_benefits=r8,
+        residual_welfare=r9,
         valid=theta > 0.0 and rho > 0.0 and 0.0 <= t_f <= 1.0,
     )
 

@@ -153,6 +153,30 @@ def mp_semivariances(a: float, b: float):
         return lower, var - lower
 
 
+def mp_theta_rho(n, omega, delta, tau, prec=10_000):
+    """(theta, rho) solving the two balance identities at s = n*omega, as
+    ``mpmath.mpf`` at ``prec`` bits.
+
+    Each identity is linear in (theta, rho) once its denominator is
+    multiplied out:
+      benefits  (1 - tau)(rho + n - s - 1) = s(theta + rho - 1) - n*theta
+      welfare   (tau - delta)(theta + s - 1) = s(theta + rho - 1) - n(theta - 1)
+    and the 2x2 system is solved by Cramer's rule, without the shorthand
+    polynomials of the library's closed form.  Every product and sum before
+    the two divisions has degree at most 4 in the inputs, so from doubles
+    and integers below 2^80 the default width takes them exactly.  The
+    determinant cancels terms of order n^2 down to order n, so 600 bits
+    would lose it past n = 1e165.
+    """
+    with mpmath.workprec(prec):
+        n, w, e, t = (mpmath.mpf(x) for x in (n, omega, delta, tau))
+        s = n * w
+        a, b, c = s - n, s - 1 + t, s + (1 - t) * (n - s - 1)
+        p, q, r = s - n - t + e, s, s - n + (t - e) * (s - 1)
+        det = a * q - b * p
+        return (c * q - b * r) / det, (a * r - c * p) / det
+
+
 # --- the balanced-budget sweep, one scalar cell at a time ---------------------
 #
 # The per-cell solve as the library did it before the array solver: Python
