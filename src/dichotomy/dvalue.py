@@ -11,7 +11,8 @@ enumeration is out of reach.  ``_exact`` alone picks a game's exact path
 valuation, the by-size totals of the closed forms, or both from one pass.
 Monte Carlo on a table game that draws at least 2^n samples counts how often
 each coalition is drawn and weighs each (T, T + i) pair once, as ``_exact``
-weighs it by P(S = T); every other game flips its sampled rows.
+weighs it by P(S = T); every other game flips its sampled rows.  Both routes
+draw the same chunks, through ``_draws``.
 """
 
 import math
@@ -258,17 +259,24 @@ def _scaled(values: np.ndarray, scale: float) -> np.ndarray:
     return values if scale == 1.0 else values * scale
 
 
+def _draws(model: CoalitionModel, game: Game, rng, count: int):
+    """The ``count`` draws of one stream, in chunks of at most _MC_CELLS
+    membership cells (one row when n is larger): yields each chunk's
+    membership matrix with its weight sums."""
+    rows = max(1, _MC_CELLS // model.n)
+    for done in range(0, count, rows):
+        members = sample_memberships(model, rng, min(rows, count - done))
+        yield members, game._weight_sums(members)
+
+
 def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float) -> np.ndarray:
     """Sums for one stream: gain, gain^2, loss and loss^2 (a block of n each),
     then production, production^2 and the sample count, all in values
     multiplied by ``scale``."""
     n = model.n
-    rows = max(1, _MC_CELLS // n)
     acc = np.zeros(4 * n + 3)
     per_player = acc[: 4 * n].reshape(2, 2, n)
-    for done in range(0, count, rows):
-        members = sample_memberships(model, rng, min(rows, count - done))
-        sums = game._weight_sums(members)
+    for members, sums in _draws(model, game, rng, count):
         # Marginals only on the rows where a flip may swing v: every other row
         # adds +-0 to the column sums below, which run row by row, so they
         # keep their bits.  A single column is summed in unrolled lanes,
@@ -293,17 +301,6 @@ def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float)
             block += np.einsum("ij->j", x), np.einsum("ij,ij->j", x, x)
         acc[4 * n :] += (v_s.sum(), (v_s * v_s).sum(), len(v_s))
     return acc
-
-
-def _mc_count(model: CoalitionModel, game: DenseTableGame, rng, count: int, drawn, lock) -> None:
-    """Adds to ``drawn`` (int64, by bitmask) how often one stream draws each
-    coalition of a table game, from the chunks that _mc_stream would draw."""
-    rows = max(1, _MC_CELLS // model.n)
-    for done in range(0, count, rows):
-        members = sample_memberships(model, rng, min(rows, count - done))
-        masks = game._weight_sums(members)  # members @ 2^(i-1), the bitmask
-        with lock:  # integer counts: exact in any order
-            np.add.at(drawn, masks, 1)
 
 
 def _mc_table_sums(game: DenseTableGame, drawn: np.ndarray, scale: float) -> np.ndarray:
@@ -398,7 +395,9 @@ def mc_valuation(
         lock = threading.Lock()
 
         def work(k):
-            _mc_count(model, game, rngs[k], counts[k], drawn, lock)
+            for _, masks in _draws(model, game, rngs[k], counts[k]):  # members @ 2^(i-1)
+                with lock:  # integer counts: exact in any order
+                    np.add.at(drawn, masks, 1)
     else:
 
         def work(k):

@@ -460,19 +460,15 @@ def random_dense_game(n: int, rng: np.random.Generator) -> DenseTableGame:
     return DenseTableGame(n, values)
 
 
-def random_monotone_game(
-    n: int, rng: np.random.Generator, terms: int | None = None
-) -> DenseTableGame:
-    """Random monotone game: positive mix of unanimity requirements.
+def random_monotone_game(n: int, rng: np.random.Generator) -> DenseTableGame:
+    """Random monotone game: positive mix of 2n unanimity requirements.
 
     Each term pays a positive amount once a required subset is fully hired;
     sums of such terms are monotone nondecreasing in set inclusion.
     """
-    if terms is None:
-        terms = 2 * n
     masks = np.arange(1 << n, dtype=np.int64)
     values = np.zeros(1 << n)
-    for _ in range(terms):
+    for _ in range(2 * n):
         need = int(rng.integers(1, 1 << n))
         pay = float(rng.random())
         values += pay * ((masks & need) == need)
