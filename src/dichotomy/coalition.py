@@ -47,6 +47,12 @@ class CoalitionModel:
             raise DomainError(
                 f"shape parameters must be positive and finite, got ({self.theta}, {self.rho})"
             )
+        # The size law multiplies sizes by shapes; past this its ratios overflow.
+        if not math.isfinite(self.n * (self.theta + self.rho + self.n)):
+            raise DomainError(
+                f"n (theta + rho + n) must be finite, got n = {self.n} and "
+                f"({self.theta}, {self.rho})"
+            )
 
     @property
     def prior_mean(self) -> float:

@@ -9,14 +9,13 @@ aggregates and Monte Carlo estimators cover the regimes where full
 enumeration is out of reach.  ``_exact`` alone picks a game's exact path
 (size law, additive, integer-vote counts or the 2^n table) and serves the
 valuation, the by-size totals of the closed forms, or both from one pass.
-Monte Carlo on a table game that draws at least 2^n samples counts how often
-each coalition is drawn and weighs each (T, T + i) pair once, as ``_exact``
-weighs it by P(S = T); every other game flips its sampled rows.  Both routes
-draw the same chunks, through ``_draws``.
+Monte Carlo on a table game that draws at least 2^n samples draws how often
+each coalition comes up, as one multinomial over P(S = T), and weighs each
+(T, T + i) pair once by those counts, as ``_exact`` weighs it by P(S = T);
+every other game flips its sampled rows.
 """
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +50,8 @@ __all__ = [
 _MC_CELLS = 1 << 16
 # Each stream is a generator of about 1 KB that takes about 18 us to spawn.
 _MAX_STREAMS = 1 << 10
+# Sample counts and their sums are exact in floats below 2^53.
+_MAX_SAMPLES = 1 << 53
 # Monte Carlo sums squares of values and marginals.  A game whose values may
 # reach 2**_MC_MAX_EXP is scaled by a power of two, which is exact, so that
 # |marginal| < 2**401 and the sums of squares stay finite up to 2**220 samples.
@@ -259,16 +260,6 @@ def _scaled(values: np.ndarray, scale: float) -> np.ndarray:
     return values if scale == 1.0 else values * scale
 
 
-def _draws(model: CoalitionModel, game: Game, rng, count: int):
-    """The ``count`` draws of one stream, in chunks of at most _MC_CELLS
-    membership cells (one row when n is larger): yields each chunk's
-    membership matrix with its weight sums."""
-    rows = max(1, _MC_CELLS // model.n)
-    for done in range(0, count, rows):
-        members = sample_memberships(model, rng, min(rows, count - done))
-        yield members, game._weight_sums(members)
-
-
 def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float) -> np.ndarray:
     """Sums for one stream: gain, gain^2, loss and loss^2 (a block of n each),
     then production, production^2 and the sample count, all in values
@@ -276,7 +267,10 @@ def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float)
     n = model.n
     acc = np.zeros(4 * n + 3)
     per_player = acc[: 4 * n].reshape(2, 2, n)
-    for members, sums in _draws(model, game, rng, count):
+    rows = max(1, _MC_CELLS // n)
+    for done in range(0, count, rows):
+        members = sample_memberships(model, rng, min(rows, count - done))
+        sums = game._weight_sums(members)
         # Marginals only on the rows where a flip may swing v: every other row
         # adds +-0 to the column sums below, which run row by row, so they
         # keep their bits.  A single column is summed in unrolled lanes,
@@ -364,18 +358,19 @@ def mc_valuation(
     Samples are split across ``streams`` independent generators spawned from
     the seed (at most 1024), and stream partials are combined by a fixed
     pairwise tree, so the result depends on (seed, streams) but not on
-    ``max_workers``; the pool holds at most one thread per stream.
+    ``max_workers``; the pool holds at most one thread per stream.  Samples
+    number 1 to 2^53 - 1, so that their counts are exact in floats.
 
-    A table game drawn at least 2^n times (``1 << n <= samples``) is not
-    flipped row by row: the streams add up how often each coalition is
-    drawn, which is exact in any order, and one pass over the table weighs
-    each (T, T + i) pair by those counts.  Its draws are the same; its sums
-    are the same up to the order of addition, so an integer-valued table
-    prints the same bytes either way.
+    A table game drawn at least 2^n times (``1 << n <= samples``) draws no
+    rows: P(S = T) depends on |T| alone, so how often each coalition is drawn
+    is one Multinomial(samples, P(S = T)), drawn by the first spawned
+    generator, which is the same for every stream count.  One pass over the
+    table then weighs each (T, T + i) pair by those counts, so the result
+    depends on the seed alone.
     """
     _check_model_game(model, game)
-    if samples < 1:
-        raise DomainError("need at least one sample")
+    if not 1 <= samples < _MAX_SAMPLES:
+        raise DomainError(f"need 1 to {_MAX_SAMPLES - 1} samples, got {samples}")
     if not 1 <= streams <= _MAX_STREAMS:
         raise DomainError(f"need 1 to {_MAX_STREAMS} streams, got {streams}")
     if max_workers < 1:
@@ -384,35 +379,33 @@ def mc_valuation(
         raise DomainError(f"seed must be non-negative, got {seed}")
     n = model.n
     streams = min(streams, samples)
-    rngs = spawn_streams(seed, streams)
     shift = max(0, math.frexp(game.value_bound())[1] - _MC_MAX_EXP)
     scale, unscale = math.ldexp(1.0, -shift), math.ldexp(1.0, shift)
-    base, extra = divmod(samples, streams)
-    counts = [base + (1 if k < extra else 0) for k in range(streams)]
-    counted = isinstance(game, DenseTableGame) and 1 << n <= samples
-    if counted:
-        drawn = np.zeros(1 << n, np.int64)
-        lock = threading.Lock()
-
-        def work(k):
-            for _, masks in _draws(model, game, rngs[k], counts[k]):  # members @ 2^(i-1)
-                with lock:  # integer counts: exact in any order
-                    np.add.at(drawn, masks, 1)
+    if isinstance(game, DenseTableGame) and 1 << n <= samples:
+        # Independent multinomials over the same cells sum to one multinomial,
+        # so one draw over P(S = T) stands for every stream.
+        drawn = spawn_streams(seed, 1)[0].multinomial(
+            samples, _mask_weights(_subset_weights(_size_pmf_vector(model)))
+        )
+        acc = _mc_table_sums(game, drawn, scale)
     else:
+        rngs = spawn_streams(seed, streams)
+        base, extra = divmod(samples, streams)
+        counts = [base + (1 if k < extra else 0) for k in range(streams)]
 
         def work(k):
             return _mc_stream(model, game, rngs[k], counts[k], scale)
 
-    workers = min(max_workers, streams)
-    if workers > 1:
-        # Imported here: a module-level import costs every cold start 4 ms.
-        from concurrent.futures import ThreadPoolExecutor
+        workers = min(max_workers, streams)
+        if workers > 1:
+            # Imported here: a module-level import costs every cold start 4 ms.
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, range(streams)))
-    else:
-        parts = [work(k) for k in range(streams)]
-    acc = _mc_table_sums(game, drawn, scale) if counted else _tree_reduce(parts)
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(work, range(streams)))
+        else:
+            parts = [work(k) for k in range(streams)]
+        acc = _tree_reduce(parts)
     total = int(acc[4 * n + 2])
     gain_sum, gain_sq, loss_sum, loss_sq = acc[: 4 * n].reshape(4, n)
     gain = gain_sum / total * unscale

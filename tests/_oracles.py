@@ -426,3 +426,21 @@ def flip_every_row_stream(model, game, rng, count, scale) -> np.ndarray:
             sums += np.einsum("ij->j", x), np.einsum("ij,ij->j", x, x)
         acc[4 * n :] += (v_s.sum(), (v_s * v_s).sum(), len(v_s))
     return acc
+
+
+# --- semivalues ---------------------------------------------------------------
+
+def shapley_by_permutations(n, v) -> list[float]:
+    """The Shapley value of v: mask -> value, as each player's marginal on
+    joining the players before it, averaged over all n! orders in exact
+    rationals (n <= 7, 5,040 orders)."""
+    if n > 7:
+        raise ValueError(f"{math.factorial(n)} orders are too many; n <= 7")
+    value = [Fraction(float(v(mask))) for mask in range(1 << n)]
+    total = [Fraction(0)] * n
+    for order in itertools.permutations(range(n)):
+        mask = 0
+        for i in order:
+            total[i] += value[mask | 1 << i] - value[mask]
+            mask |= 1 << i
+    return [float(x / math.factorial(n)) for x in total]

@@ -1,23 +1,25 @@
 """Monte Carlo on a table game that draws at least 2^n samples.
 
-Such a game is not flipped row by row: the streams count how often each
-coalition is drawn, and one pass weighs each (T, T + i) pair by the counts.
-The draws are those of the row stream, so on an integer-valued table, where
-every sum is exact in any order, the output is byte for byte that of the
-rows; on any table the means stay within rounding of the exact means of the
-same draws.  The counts take memory independent of the stream count, and
+Such a game draws no rows: how often each coalition is drawn is one
+Multinomial(samples, P(S = T)), and one pass weighs each (T, T + i) pair by
+the counts.  On an integer-valued table, where every sum is exact in any
+order, the output is byte for byte that of flipping the rows the counts
+stand for; on any table the means stay within rounding of the exact means
+of the same counts.  The counts follow the subset law, depend on the seed
+alone, and take memory independent of the stream count; the sample count,
 the stream count and the thread pool are bounded before anything starts.
 """
 
 import concurrent.futures
 import json
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dichotomy import cli, dvalue
-from dichotomy.coalition import CoalitionModel, sample_memberships, spawn_streams
+from dichotomy.coalition import CoalitionModel
 from dichotomy.dvalue import mc_valuation
 from dichotomy.errors import DomainError
 from dichotomy.production import (
@@ -29,7 +31,7 @@ from dichotomy.production import (
     random_dense_game,
 )
 
-from _oracles import peak_tables
+from _oracles import peak_tables, subset_prob
 
 
 class _Rows(Game):
@@ -86,47 +88,56 @@ def _json(v) -> str:
     return json.dumps(v.to_json_dict())  # keeps the sign of a zero
 
 
-@pytest.mark.parametrize("name", CASES)
-@pytest.mark.parametrize("streams, workers", [(1, 1), (8, 1), (8, 2)])
-def test_integer_tables_print_the_bytes_of_the_rows(name, streams, workers, monkeypatch):
-    table, rows = CASES[name]
-    counted = []
-    monkeypatch.setattr(dvalue, "_mc_stream", _recording(dvalue._mc_stream, counted))
-    for theta, rho in ((2.0, 3.0), (0.4, 0.6)):
-        model = CoalitionModel(table.n, theta, rho)
-        samples = (1 << table.n) + 3 * max(1, dvalue._MC_CELLS // table.n) + 17
-        got = mc_valuation(model, table, samples, 5, streams, workers)
-        assert not counted  # the table took the counted route
-        want = mc_valuation(model, rows, samples, 5, streams, workers)
-        assert counted
-        counted.clear()
-        assert _json(got) == _json(want)
-        # A sum of -0.0 terms is added into the zeroed sums: it prints 0.0.
-        for x in (got.gain, got.loss, got.gain_se, got.loss_se):
-            assert not np.signbit(x[x == 0.0]).any()
-
-
-def _recording(stream, calls):
+def _recording(fn, calls):
     def recorded(*args):
         calls.append(args)
-        return stream(*args)
+        return fn(*args)
 
     return recorded
 
 
-def _drawn(model, samples, seed, streams) -> np.ndarray:
-    """How often each bitmask is drawn, from the streams and chunks of the
-    row stream, recounted here coalition by coalition."""
-    n = model.n
-    rows = max(1, dvalue._MC_CELLS // n)
-    base, extra = divmod(samples, streams)
-    drawn = np.zeros(1 << n, np.int64)
-    for k, rng in enumerate(spawn_streams(seed, streams)):
-        count = base + (1 if k < extra else 0)
-        for done in range(0, count, rows):
-            for row in sample_memberships(model, rng, min(rows, count - done)):
-                drawn[sum(1 << i for i in np.flatnonzero(row))] += 1
-    return drawn
+def _rows_of(drawn: np.ndarray, n: int) -> np.ndarray:
+    """The membership rows the counts stand for: mask T, count(T) times."""
+    masks = np.repeat(np.arange(1 << n), drawn)
+    return ((masks[:, None] >> np.arange(n)) & 1) == 1
+
+
+def _handing_out(rows: np.ndarray):
+    """A ``sample_memberships`` stand-in that hands out ``rows`` in turn,
+    whichever stream or thread asks."""
+    lock, start = threading.Lock(), [0]
+
+    def sample(model, rng, count):
+        with lock:
+            begin = start[0]
+            start[0] += count
+        return rows[begin : begin + count]
+
+    return sample
+
+
+@pytest.mark.parametrize("name", CASES)
+@pytest.mark.parametrize("streams, workers", [(1, 1), (8, 1), (8, 2)])
+def test_integer_tables_print_the_bytes_of_the_rows(name, streams, workers, monkeypatch):
+    # The rows route, fed the rows that the drawn counts stand for, adds the
+    # same integers in another order.
+    table, rows = CASES[name]
+    seen = []
+    monkeypatch.setattr(dvalue, "_mc_table_sums", _recording(dvalue._mc_table_sums, seen))
+    for theta, rho in ((2.0, 3.0), (0.4, 0.6)):
+        model = CoalitionModel(table.n, theta, rho)
+        samples = (1 << table.n) + 3 * max(1, dvalue._MC_CELLS // table.n) + 17
+        got = mc_valuation(model, table, samples, 5, streams, workers)
+        ((_, drawn, _),) = seen  # the table took the counted route
+        with monkeypatch.context() as m:
+            m.setattr(dvalue, "sample_memberships", _handing_out(_rows_of(drawn, table.n)))
+            want = mc_valuation(model, rows, samples, 5, streams, workers)
+        assert len(seen) == 1  # the rows did not
+        seen.clear()
+        assert _json(got) == _json(want)
+        # A sum of -0.0 terms is added into the zeroed sums: it prints 0.0.
+        for x in (got.gain, got.loss, got.gain_se, got.loss_se):
+            assert not np.signbit(x[x == 0.0]).any()
 
 
 def _exact_means(table, drawn, n):
@@ -171,16 +182,17 @@ def _oracle_cases(count=20):
 
 @pytest.mark.parametrize("streams", [1, 8])
 def test_within_rounding_of_the_exact_mean_of_the_same_draws(streams, monkeypatch):
-    # A pairwise sum of m terms is within about log2(m) eps of its absolute
-    # sum; the products and the division add two more roundings.
+    # The counts are those _mc_table_sums was given.  A pairwise sum of m
+    # terms is within about log2(m) eps of its absolute sum; the products and
+    # the division add two more roundings.
     seen = []
     monkeypatch.setattr(dvalue, "_mc_table_sums", _recording(dvalue._mc_table_sums, seen))
     eps = np.finfo(float).eps
     for n, game, model, samples, seed in _oracle_cases():
         seen.clear()
         val = mc_valuation(model, game, samples, seed, streams)
-        drawn = _drawn(model, samples, seed, min(streams, samples))
-        assert len(seen) == 1 and np.array_equal(seen[0][1], drawn)
+        ((_, drawn, _),) = seen
+        assert drawn.sum() == samples
         gain, loss, production = _exact_means(game.table, drawn, n)
         bound = (n + 4) * eps
         for got, (mean, scale) in [
@@ -189,17 +201,47 @@ def test_within_rounding_of_the_exact_mean_of_the_same_draws(streams, monkeypatc
             assert abs(Fraction(float(got)) - mean) <= bound * scale
 
 
+@pytest.mark.parametrize("theta, rho", [(0.05, 0.05), (1.0, 1e6), (1e6, 1.0), (2.0, 3.0)])
+@pytest.mark.parametrize("n", range(3, 9))
+def test_counts_follow_the_subset_law(n, theta, rho, monkeypatch):
+    seen = []
+    monkeypatch.setattr(dvalue, "_mc_table_sums", _recording(dvalue._mc_table_sums, seen))
+    samples = 1_000_000
+    game = random_dense_game(n, np.random.default_rng(n))
+    mc_valuation(CoalitionModel(n, theta, rho), game, samples, 11)
+    ((_, drawn, _),) = seen
+    assert drawn.sum() == samples
+    p = np.array([subset_prob(n, bin(mask).count("1"), theta, rho) for mask in range(1 << n)])
+    se = np.sqrt(samples * p * (1.0 - p))
+    assert np.all(np.abs(drawn - samples * p) <= 5.0 * se)
+
+
+def test_counted_output_depends_on_the_seed_alone():
+    model = CoalitionModel(6, 2.0, 3.0)
+    game = random_dense_game(6, np.random.default_rng(5))
+
+    def body(streams, workers):
+        out = mc_valuation(model, game, 1000, 9, streams, workers).to_json_dict()
+        assert out.pop("streams") == streams
+        return json.dumps(out)
+
+    want = body(1, 1)
+    for streams in (1, 8, 64):
+        for workers in (1, 2):
+            assert body(streams, workers) == want
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("streams", [8, 64])
 def test_counts_take_memory_independent_of_the_stream_count(workers, streams):
-    # One int64 count table shared by every stream, and while drawing, one
-    # chunk of at most 2^16 cells per busy worker (the table's size here);
-    # the final pass adds a float copy of the counts and two half tables.
+    # One int64 count table, and while drawing it the table of P(S = T); the
+    # final pass adds a float copy of the counts and two half tables.  No
+    # worker holds a chunk of rows.
     n = 16
     model = CoalitionModel(n, 2.0, 3.0)
     game = random_dense_game(n, np.random.default_rng(3))
     run = lambda: mc_valuation(model, game, 1 << n, 7, streams, workers)  # noqa: E731
-    assert peak_tables(run, n) <= 3.5 + workers
+    assert peak_tables(run, n) <= 3.5
 
 
 def _no_spawn(seed, count):
@@ -214,6 +256,28 @@ def test_stream_limit_rejects_before_spawning(monkeypatch):
     monkeypatch.setattr(dvalue, "_MAX_STREAMS", 4)
     with pytest.raises(DomainError, match="1 to 4 streams, got 5"):
         mc_valuation(model, game, 100, 0, streams=5)
+
+
+@pytest.mark.parametrize("game", [KOutOfNGame(2, 1), _twin(KOutOfNGame(2, 1))], ids=["rows", "counts"])
+@pytest.mark.parametrize("samples", [0, 2**53, 2**63])
+def test_sample_limit_rejects_before_spawning(game, samples, monkeypatch):
+    # Counts and their sums are exact in floats below 2^53.
+    monkeypatch.setattr(dvalue, "spawn_streams", _no_spawn)
+    with pytest.raises(DomainError, match=f"need 1 to {2**53 - 1} samples, got {samples}"):
+        mc_valuation(CoalitionModel(2, 1.0, 1.0), game, samples, 0)
+
+
+@pytest.mark.parametrize("samples", [2**53, 2**63])
+def test_cli_sample_limit_is_one_line_and_exit_2(samples, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dvalue, "spawn_streams", _no_spawn)
+    path = tmp_path / "table.json"
+    path.write_text('{"n": 2, "values": [0, 1, 2, 4]}')
+    argv = ["dvalue", "--game", str(path), "--theta", "1", "--rho", "1", "--method", "mc",
+            "--samples", str(samples)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: need 1 to {2**53 - 1} samples, got {samples}\n"
 
 
 def test_cli_stream_limit_is_one_line_and_exit_2(monkeypatch, capsys):
@@ -253,5 +317,6 @@ def test_pool_holds_at_most_one_thread_per_stream(game, streams, threads, pool, 
     monkeypatch.setattr(_InlinePool, "sizes", [])
     model = CoalitionModel(6, 2.0, 3.0)
     got = mc_valuation(model, game, 500, 3, streams, threads)
-    assert _InlinePool.sizes == ([] if pool is None else [pool])
+    counted = isinstance(game, DenseTableGame)  # draws no rows, so needs no pool
+    assert _InlinePool.sizes == ([] if pool is None or counted else [pool])
     assert _json(got) == _json(mc_valuation(model, game, 500, 3, streams, 1))

@@ -9,6 +9,7 @@ doubles lose relative precision there; the library must then report a value
 as small.
 """
 
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -18,6 +19,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from dichotomy import cli
 from dichotomy.coalition import (
     CoalitionModel,
     SubsetId,
@@ -31,7 +33,9 @@ from dichotomy.dvalue import (
     aggregate_loss_closed_form,
     exact_valuation,
     expected_production,
+    mc_valuation,
 )
+from dichotomy.errors import DomainError
 from dichotomy.production import AdditiveGame, DenseTableGame, KOutOfNGame
 
 SHAPES = [(2, 3), (0.7, 0.4), (1e6, 1), (1, 1e6), (30, 5), (0.05, 0.05), (1e9, 3)]
@@ -168,3 +172,77 @@ def test_uniform_prior_against_exact_rationals(game):
                      (aggregate_gain_closed_form(model, game), sum(gain)),
                      (aggregate_loss_closed_form(model, game), sum(loss))]:
         assert abs(Fraction(got) - ref) <= tol
+
+
+# --- shapes whose size-law products overflow ------------------------------------
+
+# n (theta + rho + n) is finite at (3e307, 3e306) and n = 5, and not at (1e308, 1e307).
+_INSIDE, _OUTSIDE = ("3e307", "3e306"), ("1e308", "1e307")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apps", "insurance", "--game", "majority:5", "--surcharge", "0"],
+        ["apps", "voting", "--game", "majority:5"],
+        ["dvalue", "--game", "majority:5"],
+    ],
+    ids=["insurance", "voting", "dvalue"],
+)
+def test_overflowing_shapes_exit_2_with_one_line(argv, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([*argv, "--theta", _OUTSIDE[0], "--rho", _OUTSIDE[1]])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == "error: n (theta + rho + n) must be finite, got n = 5 and (1e+308, 1e+307)\n"
+
+
+def test_overflowing_shapes_are_rejected_by_the_model():
+    with pytest.raises(DomainError, match="must be finite"):
+        CoalitionModel(5, 1e308, 1e307)
+    with pytest.raises(DomainError, match="must be finite"):
+        CoalitionModel(2, 1.0, 1.7e308)
+    CoalitionModel(2, 1.0, 8e307)
+
+
+def _binomial_limit():
+    """Binomial(5, p) sizes and majority:5's gain, loss and swing chance, for
+    the mean p = theta / (theta + rho) of the shapes just inside the bound."""
+    th, rh = (Fraction(float(x)) for x in _INSIDE)
+    p = th / (th + rh)
+    law = [math.comb(5, t) * p**t * (1 - p) ** (5 - t) for t in range(6)]
+    swing = 6 * p**2 * (1 - p) ** 2  # two of the other four are in
+    return p, law, swing
+
+
+def test_shapes_inside_the_bound_meet_the_binomial_limit(capsys):
+    p, law, swing = _binomial_limit()
+    model = CoalitionModel(5, *(float(x) for x in _INSIDE))
+    pmf = _size_pmf_vector(model)
+    for got, ref in zip(pmf, law):
+        assert abs(Fraction(float(got)) - ref) <= 1.1e-16
+        assert abs(Fraction(float(got)) / ref - 1) <= 1e-14
+    val = exact_valuation(model, KOutOfNGame(5, 3))
+    assert np.all(np.abs(val.gain / float(p * swing) - 1) <= 1e-14)
+    assert np.all(np.abs(val.loss / float((1 - p) * swing) - 1) <= 1e-14)
+    assert cli.main(["apps", "insurance", "--game", "majority:5", "--surcharge", "0",
+                     "--theta", _INSIDE[0], "--rho", _INSIDE[1]]) == 0
+    cost = json.loads(capsys.readouterr().out)["expected_cost"]
+    assert abs(cost / float(sum(law[3:])) - 1) <= 1e-14
+    assert cli.main(["apps", "voting", "--game", "majority:5",
+                     "--theta", _INSIDE[0], "--rho", _INSIDE[1]]) == 0
+    power = json.loads(capsys.readouterr().out)["power"]
+    assert np.all(np.abs(np.array(power) / float(swing) - 1) <= 1e-14)
+
+
+@pytest.mark.parametrize("counted", [False, True], ids=["rows", "counts"])
+def test_monte_carlo_inside_the_bound_meets_the_binomial_limit(counted):
+    p, _, swing = _binomial_limit()
+    model = CoalitionModel(5, *(float(x) for x in _INSIDE))
+    game = KOutOfNGame(5, 3)
+    if counted:
+        game = DenseTableGame(5, game.dense_values())
+    val = mc_valuation(model, game, 200_000, 3)
+    assert np.all(np.abs(val.gain - float(p * swing)) <= 5.0 * val.gain_se)
+    assert np.all(np.abs(val.loss - float((1 - p) * swing)) <= 5.0 * val.loss_se)
