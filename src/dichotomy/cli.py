@@ -25,7 +25,8 @@ one-line ``error: <message>`` on stderr and an exit code, through
   (``OSError``)
 * 5 capacity: a request beyond every exact path (``CapacityError``): the
   enumeration cap, n <= 24, and for integer voting weights the count
-  limits, n <= 66 within 2^22 count cells
+  limits, n <= 66 within 2^22 count cells; or an allocation that fails
+  (``MemoryError``), as a game's arrays at a huge n do
 
 Three exits follow partial output and stay in their handlers: ``tax-rate``
 exits 3 after its row when no positive hyperparameters exist, ``series``
@@ -78,6 +79,7 @@ _EXIT_CODES = (
     (OSError, EXIT_DATA),
     (SingularSystemError, EXIT_INFEASIBLE),
     (CapacityError, EXIT_CAPACITY),
+    (MemoryError, EXIT_CAPACITY),
     (DomainError, EXIT_USAGE),
 )
 
@@ -483,7 +485,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A bare MemoryError has no message of its own.
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
 
 

@@ -24,7 +24,6 @@ __all__ = [
     "PosteriorRate",
     "size_pmf",
     "subset_pmf",
-    "sample_subset",
     "sample_memberships",
     "posterior",
     "log_size_weights",
@@ -102,9 +101,6 @@ class SubsetId:
         for i in self.members:
             m |= 1 << (i - 1)
         return m
-
-    def contains(self, i: int) -> bool:
-        return i in self.members
 
     def with_player(self, i: int) -> "SubsetId":
         return SubsetId(self.n, self.members | {i})
@@ -245,12 +241,6 @@ def posterior(model: CoalitionModel, s: int) -> PosteriorRate:
     return PosteriorRate(
         a=model.theta + s, b=model.rho + model.n - s, omega=s / model.n
     )
-
-
-def sample_subset(model: CoalitionModel, rng: np.random.Generator) -> SubsetId:
-    """One draw of S: a single row of ``sample_memberships``."""
-    (row,) = sample_memberships(model, rng, 1)
-    return SubsetId(model.n, frozenset(int(i) + 1 for i in np.flatnonzero(row)))
 
 
 def sample_memberships(

@@ -204,7 +204,10 @@ def _lower_semivariance_series(a: float, b: float) -> float:
         rest = terms[-1] * (a + 1.0 + start) / (1.0 + start * nu)
         if not rest > 2.0**-60 * tail:  # also ends at a zero tail or a nan shape
             break
-    return _mode_factor(a, b) * (mu + nu * tail) / total / (total + 1.0)
+    # A deep-subnormal mode factor is scaled up first, so the products keep its bits.
+    shift = 600 if (mode := _mode_factor(a, b)) < 2.0**-900 else 0
+    lower = math.ldexp(mode, shift) * (mu + nu * tail) / total / (total + 1.0)
+    return math.ldexp(lower, -shift)
 
 
 # Beyond this smaller shape (markets of about 1e11 and more) the series

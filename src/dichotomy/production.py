@@ -25,7 +25,6 @@ __all__ = [
     "WeightedVotingGame",
     "KOutOfNGame",
     "AdditiveGame",
-    "evaluate",
     "uniformly_outperforms",
     "is_symmetric_pair",
     "game_from_json_dict",
@@ -364,11 +363,6 @@ class AdditiveGame(Game):
 
     def value_bound(self) -> float:
         return float(np.abs(self._w).sum())  # finite, as _player_weights checked
-
-
-def evaluate(game: Game, T: SubsetId) -> float:
-    """v(T); zero on the empty coalition by construction."""
-    return game.value(T)
 
 
 def _compare_pair(game: Game, i: int, j: int, op) -> bool:

@@ -10,17 +10,19 @@ closed form is expressed through ten polynomial shorthands in
 tau = 1 - omega + delta*omega, which is also the rule selected by every
 asymptotic risk criterion in this package.
 
-``solve_theta_rho`` solves one cell exactly on ``fractions.Fraction`` and
-rounds once, loading no numpy; the grid solvers run the same expressions in
-``np.longdouble`` and import numpy when they run.
+Each question has one entry point.  ``solve_theta_rho`` answers one cell
+as a ``TaxSolution``: it solves exactly on ``fractions.Fraction``, rounds
+once and loads no numpy.  ``probe_columns`` answers a tau grid as columns,
+the one grid that ``sweep`` prints: it runs the same expressions in
+``np.longdouble`` and imports numpy when it runs, so a grid cell may differ
+from the exact solve in its last digits.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -41,8 +43,6 @@ __all__ = [
     "corrected_tax_rule",
     "ProbeColumns",
     "probe_columns",
-    "feasible_set_probe",
-    "employment_count",
 ]
 
 
@@ -124,8 +124,8 @@ class TaxSolution:
 
     ``residual_benefits`` and ``residual_welfare`` measure how far the
     solved pair is from reproducing the input rate through the benefits-side
-    and welfare-side identities; both should sit at rounding level for any
-    non-singular input.
+    and welfare-side identities; both should sit at rounding level.  Only
+    ``solve_theta_rho`` builds one, and it raises on a singular cell.
     """
 
     theta: float
@@ -135,7 +135,6 @@ class TaxSolution:
     residual_benefits: float
     residual_welfare: float
     valid: bool
-    singular: bool = False
 
 
 @dataclass(frozen=True)
@@ -342,40 +341,3 @@ def probe_columns(n: float, omega: float, delta: float, tau_grid) -> ProbeColumn
     cols.valid[cols.singular] = False
     return cols
 
-
-def feasible_set_probe(
-    n: float, omega: float, delta: float, tau_grid
-) -> list[TaxSolution]:
-    """``probe_columns`` as one TaxSolution per cell."""
-    cols = probe_columns(n, omega, delta, tau_grid)
-    sh = zip(*(x.tolist() for x in astuple(cols.shorthands)))
-    return [
-        TaxSolution(
-            theta=theta,
-            rho=rho,
-            inputs=PolicyInputs(n=float(n), omega=float(omega), delta=float(delta), tau=tau),
-            shorthands=DeltaShorthands(*values),
-            residual_benefits=r8,
-            residual_welfare=r9,
-            valid=valid,
-            singular=singular,
-        )
-        for tau, theta, rho, values, r8, r9, valid, singular in zip(
-            cols.tau.tolist(), cols.theta.tolist(), cols.rho.tolist(), sh,
-            cols.residual_benefits.tolist(), cols.residual_welfare.tolist(),
-            cols.valid.tolist(), cols.singular.tolist(),
-        )
-    ]
-
-
-def employment_count(n: int, omega: float) -> int:
-    """Integer employment count for paths that need an exact subset size."""
-    s = n * omega
-    r = round(s)
-    if abs(s - r) > 1e-9:
-        warnings.warn(
-            f"n*omega = {s} is not integral; rounding to {r} for the "
-            f"integer-count path",
-            stacklevel=2,
-        )
-    return int(r)

@@ -444,3 +444,80 @@ def shapley_by_permutations(n, v) -> list[float]:
             total[i] += value[mask | 1 << i] - value[mask]
             mask |= 1 << i
     return [float(x / math.factorial(n)) for x in total]
+
+
+# --- the Beta semivalue ---------------------------------------------------------
+#
+# P(S = T + i) + P(S = T) = w(t) = B(theta + t, rho + n - 1 - t) / B(theta, rho)
+# for |T| = t, so gain_i + loss_i weighs each marginal v(T + i) - v(T) over
+# the T avoiding i by w(|T|); gain_i takes the share (theta + t) /
+# (theta + rho + n - 1) of each term and loss_i the rest.  theta + t is
+# formed in mpmath: a float 500000 + 0.05 already moves the weights.
+
+def marginals_by_size(n, v):
+    """(sums, magnitudes): for each player i and size t, the sum and the sum
+    of |v(T + i) - v(T)| over the T of t players avoiding i, on Fraction,
+    by enumeration (n <= 12)."""
+    if n > 12:
+        raise ValueError(f"{1 << n} coalitions are too many; n <= 12")
+    value = [Fraction(float(v(mask))) for mask in range(1 << n)]
+    sums = [[Fraction(0)] * n for _ in range(n)]
+    magnitudes = [[Fraction(0)] * n for _ in range(n)]
+    for mask in range(1 << n):
+        t = mask_size(mask)
+        for i in range(n):
+            if not mask >> i & 1:
+                step = value[mask | 1 << i] - value[mask]
+                sums[i][t] += step
+                magnitudes[i][t] += abs(step)
+    return sums, magnitudes
+
+
+def mp_beta_semivalue(by_size, theta, rho, dps=40):
+    """Per player, gain_i and loss_i as the two shares of the Beta semivalue,
+    and the same sums over |v(T + i) - v(T)| (the scale of a float sum's
+    rounding), from ``marginals_by_size``, as ``mpmath.mpf`` lists."""
+    sums, magnitudes = by_size
+    n = len(sums)
+    with mpmath.workdps(dps):
+        th, rh = mpmath.mpf(theta), mpmath.mpf(rho)
+        norm, top = mpmath.beta(th, rh), th + rh + n - 1
+        w = [mpmath.beta(th + t, rh + n - 1 - t) / norm for t in range(n)]
+        gain_w = [w[t] * (th + t) / top for t in range(n)]
+        loss_w = [w[t] * (rh + n - 1 - t) / top for t in range(n)]
+
+        def dot(weights, row):
+            return mpmath.fsum(x * mpmath.mpf(f.numerator) / f.denominator
+                               for x, f in zip(weights, row))
+
+        return (
+            [dot(gain_w, row) for row in sums],
+            [dot(loss_w, row) for row in sums],
+            [dot(gain_w, row) for row in magnitudes],
+            [dot(loss_w, row) for row in magnitudes],
+        )
+
+
+def mp_size_semivalue(by_size, theta, rho, dps=50):
+    """gain, loss and their scale for every player of the size-symmetric game
+    v(T) = u(|T|), u = by_size, at any n: sum_s BB_{n-1}(s; theta, rho)
+    (u(s + 1) - u(s)), split into the two shares, and the same sum over
+    |u(s + 1) - u(s)|.  One mpmath term per step where u changes, its weight
+    from log-gammas, which keep 40 of the 50 digits up to n = 1e9."""
+    n = len(by_size) - 1
+    with mpmath.workdps(dps):
+        th, rh = mpmath.mpf(theta), mpmath.mpf(rho)
+        top = th + rh + n - 1
+        log_norm = mpmath.loggamma(n) - mpmath.loggamma(top) - mpmath.log(mpmath.beta(th, rh))
+        gain, loss, scale = [], [], []
+        u = np.asarray(by_size, dtype=float)
+        for s in np.flatnonzero(u[1:] != u[:-1]).tolist():
+            step = mpmath.mpf(u[s + 1]) - mpmath.mpf(u[s])
+            bb = mpmath.exp(
+                log_norm - mpmath.loggamma(s + 1) - mpmath.loggamma(n - s)
+                + mpmath.loggamma(th + s) + mpmath.loggamma(rh + n - 1 - s)
+            )
+            gain.append(bb * step * (th + s) / top)
+            loss.append(bb * step * (rh + n - 1 - s) / top)
+            scale.append(bb * abs(step))
+        return mpmath.fsum(gain), mpmath.fsum(loss), mpmath.fsum(scale)

@@ -682,6 +682,45 @@ def test_monte_carlo_of_huge_finite_values():
     assert all(math.isfinite(x) for x in numbers)
 
 
+# Runs the CLI with argv from the command line in an address space capped at
+# 2 GiB, so an allocation of terabytes fails at once instead of paging in.
+_CAPPED = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+from dichotomy import cli
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dvalue", "--game", "majority:1000000000000", *_SHAPE],
+        ["apps", "voting", "--game", "majority:1000000000000", *_SHAPE],
+        ["apps", "insurance", "--game", "majority:1000000000000", *_SHAPE, "--surcharge", "0.1"],
+    ],
+    ids=["dvalue", "voting", "insurance"],
+)
+def test_huge_n_is_a_capacity_error(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(dichotomy.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert line.startswith("error: ") and line != "error: "
+
+
+def test_bare_memory_error_has_a_message(monkeypatch, capsys):
+    def fail(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_tax_rate", fail)
+    code, out, err = run_cli(["tax-rate", "--omega", "0.5", "--delta", "0.1"], capsys)
+    assert (code, out, err) == (5, "", "error: out of memory\n")
+
+
 # Value pools for the argv fuzz: small, so every run stays cheap.
 _F = st.sampled_from(["-5", "0", "0.5", "0.9", "1", "1e6", "nan", "inf", "x"])
 _GAME = st.one_of(

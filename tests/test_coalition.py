@@ -11,7 +11,6 @@ from dichotomy.coalition import (
     SubsetId,
     posterior,
     sample_memberships,
-    sample_subset,
     size_pmf,
     spawn_streams,
     subset_pmf,
@@ -155,7 +154,8 @@ class TestSampling:
         draws = 20_000
         counts = {0: 0, 1: 0, 2: 0, 3: 0}
         for _ in range(draws):
-            counts[sample_subset(model, rng).mask] += 1
+            (row,) = sample_memberships(model, rng, 1)
+            counts[int(row @ (1 << np.arange(2)))] += 1
         for mask, expected in [(0, 1 / 3), (1, 1 / 6), (2, 1 / 6), (3, 1 / 3)]:
             se = math.sqrt(expected * (1 - expected) / draws)
             assert abs(counts[mask] / draws - expected) <= 4 * se
@@ -164,7 +164,7 @@ class TestSampling:
         model = CoalitionModel(1, 2.0, 5.0)
         rng = np.random.default_rng(7)
         draws = 20_000
-        hits = sum(sample_subset(model, rng).size for _ in range(draws))
+        hits = sum(int(sample_memberships(model, rng, 1).sum()) for _ in range(draws))
         expected = 2.0 / 7.0
         se = math.sqrt(expected * (1 - expected) / draws)
         assert abs(hits / draws - expected) <= 4 * se
@@ -198,13 +198,6 @@ class TestSampling:
         ) * draws
         stat = ((observed - expected) ** 2 / expected).sum()
         assert stat < stats.chi2.ppf(0.9999, df=15)
-
-    def test_single_draw_is_a_membership_row(self):
-        model = CoalitionModel(9, 1.5, 2.0)
-        a, b = np.random.default_rng(4), np.random.default_rng(4)
-        for _ in range(50):
-            (row,) = sample_memberships(model, b, 1)
-            assert sample_subset(model, a).members == {int(i) + 1 for i in np.flatnonzero(row)}
 
     def test_spawned_streams_are_reproducible_and_distinct(self):
         a1, b1 = spawn_streams(42, 2)

@@ -128,18 +128,31 @@ def test_package_import_loads_no_numpy():
 
 
 def test_star_import_binds_every_exported_name():
+    # The package and each of its modules but __main__, which runs the CLI.
+    # perfbench's tracer reads each ``__all__`` name with a None default, so
+    # a name left in an ``__all__`` after its definition goes would drop out
+    # of tracing without an error.
+    modules = ["dichotomy"] + [
+        f"dichotomy.{path.stem}"
+        for path in sorted(Path(dichotomy.__file__).parent.glob("*.py"))
+        if path.stem not in ("__init__", "__main__")
+    ]
     code = (
         "import importlib\n"
         "import dichotomy\n"
-        "names = {}\n"
-        "exec('from dichotomy import *', names)\n"
-        "for name in dichotomy.__all__:\n"
-        "    module = dichotomy._EXPORTS.get(name)\n"
-        "    value = getattr(importlib.import_module('dichotomy.' + module), name) if module else dichotomy.__version__\n"
-        "    assert names[name] is value, name\n"
-        "print(len(dichotomy.__all__))"
+        f"for module_name in {modules!r}:\n"
+        "    module = importlib.import_module(module_name)\n"
+        "    names = {}\n"
+        "    exec(f'from {module_name} import *', names)\n"
+        "    for name in getattr(module, '__all__', ()):\n"
+        "        source = getattr(module, '_EXPORTS', {}).get(name)\n"
+        "        value = getattr(importlib.import_module('dichotomy.' + source) if source else module, name)\n"
+        "        assert names[name] is value, (module_name, name)\n"
+        "    print(module_name, len(getattr(module, '__all__', ())))"
     )
-    assert int(_run(code)) == len(dichotomy.__all__)
+    counts = dict(line.split() for line in _run(code).splitlines())
+    assert list(counts) == modules
+    assert int(counts["dichotomy"]) == len(dichotomy.__all__)
 
 
 def test_scalar_commands_load_no_numpy(tmp_path):

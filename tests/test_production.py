@@ -15,7 +15,6 @@ from dichotomy.production import (
     KOutOfNGame,
     SizeSymmetricGame,
     WeightedVotingGame,
-    evaluate,
     game_from_json_dict,
     is_symmetric_pair,
     load_dense_game,
@@ -30,18 +29,18 @@ from _oracles import brute_outperforms
 class TestEvaluate:
     def test_k_out_of_n_threshold(self):
         game = KOutOfNGame(5, 3)
-        assert evaluate(game, SubsetId.of(5, {1, 2, 3})) == 1.0
-        assert evaluate(game, SubsetId.of(5, {4, 5})) == 0.0
+        assert game.value(SubsetId.of(5, {1, 2, 3})) == 1.0
+        assert game.value(SubsetId.of(5, {4, 5})) == 0.0
 
     def test_additive_sum(self):
         game = AdditiveGame([1.0, 2.5, -0.5])
-        assert evaluate(game, SubsetId.of(3, {1, 3})) == pytest.approx(0.5)
+        assert game.value(SubsetId.of(3, {1, 3})) == pytest.approx(0.5)
 
     def test_dense_lookup(self):
         rng = np.random.default_rng(0)
         game = random_dense_game(4, rng)
         mask = 0b1010
-        assert evaluate(game, SubsetId.from_mask(4, mask)) == game.table[mask]
+        assert game.value(SubsetId.from_mask(4, mask)) == game.table[mask]
 
     def test_empty_is_zero(self):
         for game in [
@@ -50,16 +49,16 @@ class TestEvaluate:
             WeightedVotingGame([3, 2, 1], 4),
             SizeSymmetricGame(3, [0, 1, 2, 3]),
         ]:
-            assert evaluate(game, SubsetId.empty(game.n)) == 0.0
+            assert game.value(SubsetId.empty(game.n)) == 0.0
 
     def test_weighted_voting_quota(self):
         game = WeightedVotingGame([3, 2, 1], 4)
-        assert evaluate(game, SubsetId.of(3, {1, 2})) == 1.0
-        assert evaluate(game, SubsetId.of(3, {2, 3})) == 0.0
+        assert game.value(SubsetId.of(3, {1, 2})) == 1.0
+        assert game.value(SubsetId.of(3, {2, 3})) == 0.0
 
     def test_wrong_player_count(self):
         with pytest.raises(DomainError):
-            evaluate(KOutOfNGame(4, 2), SubsetId.of(5, {1}))
+            KOutOfNGame(4, 2).value(SubsetId.of(5, {1}))
 
 
     @pytest.mark.parametrize(
@@ -76,7 +75,7 @@ class TestEvaluate:
     def test_value_is_the_enumerated_value(self, game):
         table = game.dense_values()
         for mask in range(1 << game.n):
-            assert evaluate(game, SubsetId.from_mask(game.n, mask)) == table[mask]
+            assert game.value(SubsetId.from_mask(game.n, mask)) == table[mask]
 
     def test_k_out_of_n_is_a_size_table(self):
         game = KOutOfNGame(6, 4)
@@ -135,7 +134,7 @@ class TestJsonInterface:
         path.write_text(json.dumps({"n": 2, "values": [0, 1.5, 2.5, 4.0]}))
         game = load_dense_game(str(path))
         assert game.n == 2
-        assert evaluate(game, SubsetId.full(2)) == 4.0
+        assert game.value(SubsetId.full(2)) == 4.0
 
     def test_rejects_nonzero_empty_value(self):
         with pytest.raises(DomainError):

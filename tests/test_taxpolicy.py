@@ -8,8 +8,7 @@ from dichotomy.taxpolicy import (
     asymptotic_tax_rule,
     corrected_tax_rule,
     delta_shorthands,
-    employment_count,
-    feasible_set_probe,
+    probe_columns,
     solve_theta_rho,
     tax_rate_from_benefits,
     tax_rate_from_welfare,
@@ -198,29 +197,22 @@ class TestRules:
 
 class TestProbe:
     def test_empty_grid(self):
-        assert feasible_set_probe(1000, 0.5, 0.1, []) == []
+        cols = probe_columns(1000, 0.5, 0.1, [])
+        assert cols.tau.size == cols.theta.size == cols.singular.size == 0
 
     def test_bracketing_marks_exactly_one_cell(self):
         rule = asymptotic_tax_rule(0.9, 0.1)
         grid = np.linspace(rule - 0.01, rule + 0.01, 21)
-        rows = feasible_set_probe(10_000, 0.9, 0.1, grid)
-        assert sum(r.singular for r in rows) == 1
+        cols = probe_columns(10_000, 0.9, 0.1, grid)
+        assert cols.singular.sum() == 1
 
     def test_validity_follows_the_positive_side(self):
-        rows = feasible_set_probe(10_000, 0.7, 0.1, np.linspace(0.0, 1.0, 41))
-        for r in rows:
-            if r.singular:
+        n = 10_000
+        cols = probe_columns(n, 0.7, 0.1, np.linspace(0.0, 1.0, 41))
+        sh = cols.shorthands
+        for i in range(cols.tau.size):
+            if cols.singular[i]:
                 continue
-            den = r.inputs.n * r.shorthands.d + r.shorthands.d3
-            if abs(den) <= 1.0:
+            if abs(n * sh.d[i] + sh.d3[i]) <= 1.0:
                 continue
-            assert r.valid == (r.shorthands.d > 0 and r.theta > 0)
-
-
-class TestEmploymentCount:
-    def test_exact(self):
-        assert employment_count(100, 0.25) == 25
-
-    def test_warns_when_rounding(self):
-        with pytest.warns(UserWarning):
-            assert employment_count(10, 0.26) == 3
+            assert cols.valid[i] == (sh.d[i] > 0 and cols.theta[i] > 0)
