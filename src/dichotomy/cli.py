@@ -348,7 +348,7 @@ def _cmd_voting(args) -> int:
         "theta": model.theta,
         "rho": model.rho,
         "method": report.method,
-        "power": list(map(float, report.power)),
+        "power": report.power.tolist(),
         "valuation": report.valuation.to_json_dict(),
     }
     _write_out(json_dumps(out) + "\n", args.out)

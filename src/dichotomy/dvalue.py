@@ -11,8 +11,9 @@ enumeration is out of reach.  ``_exact`` alone picks a game's exact path
 valuation, the by-size totals of the closed forms, or both from one pass.
 Monte Carlo on a table game that draws at least 2^n samples draws how often
 each coalition comes up, as one multinomial over P(S = T), and weighs each
-(T, T + i) pair once by those counts, as ``_exact`` weighs it by P(S = T);
-every other game flips its sampled rows.
+(T, T + i) pair once by those counts, as ``_exact`` weighs it by P(S = T).
+An additive game, whose marginals are its player values, counts how often
+each player is drawn inside; every other game flips its sampled rows.
 """
 
 import math
@@ -76,10 +77,11 @@ class Valuation:
     expected_production_se: float | None = None
 
     def to_json_dict(self) -> dict:
+        # tolist() gives Python floats from the float64 arrays, as float() does.
         out = {
             "method": self.method,
-            "gamma": list(map(float, self.gain)),
-            "lambda": list(map(float, self.loss)),
+            "gamma": self.gain.tolist(),
+            "lambda": self.loss.tolist(),
             "aggregate_gamma": float(self.aggregate_gain),
             "aggregate_lambda": float(self.aggregate_loss),
             "expected_production": float(self.expected_production),
@@ -89,8 +91,8 @@ class Valuation:
             out["seed"] = self.seed
             out["streams"] = self.streams
             out["std_error"] = {
-                "gamma": list(map(float, self.gain_se)),
-                "lambda": list(map(float, self.loss_se)),
+                "gamma": self.gain_se.tolist(),
+                "lambda": self.loss_se.tolist(),
                 "expected_production": float(self.expected_production_se),
             }
         return out
@@ -263,37 +265,48 @@ def _scaled(values: np.ndarray, scale: float) -> np.ndarray:
 def _mc_stream(model: CoalitionModel, game: Game, rng, count: int, scale: float) -> np.ndarray:
     """Sums for one stream: gain, gain^2, loss and loss^2 (a block of n each),
     then production, production^2 and the sample count, all in values
-    multiplied by ``scale``."""
+    multiplied by ``scale``.
+
+    In an additive game the marginal of player i is w_i, inside T or out, so
+    a draw adds w_i to the gain of each member and to the loss of each
+    outsider: the stream counts how often each player is drawn inside, and
+    each sum is that exact count times w_i (or w_i^2), rounded once.
+    """
     n = model.n
     acc = np.zeros(4 * n + 3)
     per_player = acc[: 4 * n].reshape(2, 2, n)
     rows = max(1, _MC_CELLS // n)
+    additive = isinstance(game, AdditiveGame)
+    inside = np.zeros(n, dtype=np.int64)
     for done in range(0, count, rows):
         members = sample_memberships(model, rng, min(rows, count - done))
         sums = game._weight_sums(members)
-        # Marginals only on the rows where a flip may swing v: every other row
-        # adds +-0 to the column sums below, which run row by row, so they
-        # keep their bits.  A single column is summed in unrolled lanes,
-        # whose grouping depends on the row count, so n = 1 keeps every row.
-        swing = game._swing_rows(sums) if n > 1 else None
-        kept = slice(None) if swing is None else swing
-        if not isinstance(game, AdditiveGame):
+        if additive:
+            inside += members.sum(axis=0)
+        else:
+            # Marginals only on the rows where a flip may swing v: every other
+            # row adds +-0 to the column sums below, which run row by row, so
+            # they keep their bits.  A single column is summed in unrolled
+            # lanes, whose grouping depends on the row count, so n = 1 keeps
+            # every row.
+            swing = game._swing_rows(sums) if n > 1 else None
+            kept = slice(None) if swing is None else swing
             flipped = _scaled(game._phi(game._flip_stats(sums[kept], members[kept])), scale)
         # Every row is evaluated here, and the sums may be overwritten.
         v_s = _scaled(game.values_for_memberships(members, _sums=sums), scale)
-        members = members[kept]
-        # v(T) - v(T xor {i}): the gain of a member, minus the loss of an outsider.
-        if isinstance(game, AdditiveGame):
-            # Exactly +w_i or -w_i; a difference of two sums would lose a
-            # small w_i beside a large one.
-            diff = (2 * members.view(np.int8) - 1) * _scaled(game.player_values, scale)
-        else:
+        if not additive:
+            # v(T) - v(T xor {i}): the gain of a member, minus the loss of an outsider.
             diff = np.subtract(v_s[kept, None], flipped, out=flipped)
-        gain = diff * members
-        for block, x in zip(per_player, (gain, np.subtract(gain, diff, out=diff))):
-            # Column sums of x and x^2; einsum needs no x * x temporary.
-            block += np.einsum("ij->j", x), np.einsum("ij,ij->j", x, x)
+            gain = diff * members[kept]
+            for block, x in zip(per_player, (gain, np.subtract(gain, diff, out=diff))):
+                # Column sums of x and x^2; einsum needs no x * x temporary.
+                block += np.einsum("ij->j", x), np.einsum("ij,ij->j", x, x)
         acc[4 * n :] += (v_s.sum(), (v_s * v_s).sum(), len(v_s))
+    if additive:
+        w = _scaled(game.player_values, scale)
+        # Counts below 2^53 are exact floats, so each product rounds once.
+        for block, k in zip(per_player, (inside, count - inside)):
+            block += w * k, (w * w) * k
     return acc
 
 

@@ -98,9 +98,15 @@ def _mode_factor(a: float, b: float) -> float:
     """exp(_log_mode_factor(a, b)) without the exp of a log of order log(a
     + b), which would magnify the log's last-place rounding into the factor."""
     lo, hi = sorted((a, b))
-    return math.sqrt(lo * (hi / (a + b)) / (2.0 * math.pi)) * math.exp(
-        _stirlerr(a + b) - _stirlerr(a) - _stirlerr(b)
-    )
+    x = lo * (hi / (a + b))
+    # A subnormal x divided by 2 pi would lose its digits (5e-324 to 0), so
+    # its square root, a normal float, is divided instead; a normal x keeps
+    # the one rounding of the quotient.
+    if x < 2.0**-1022:  # the smallest normal float
+        root = math.sqrt(x) / math.sqrt(2.0 * math.pi)
+    else:
+        root = math.sqrt(x / (2.0 * math.pi))
+    return root * math.exp(_stirlerr(a + b) - _stirlerr(a) - _stirlerr(b))
 
 
 def _check_shapes(a: float, b: float) -> None:

@@ -130,14 +130,18 @@ def mp_lower_semivariance(a: float, b: float):
 def mp_semivariances(a: float, b: float):
     """Lower and upper semivariances of Beta(a, b) from mpmath, as mpf.
 
-    While a shape is below 10, from mpmath's regularized incomplete beta at
-    50 digits, as var I_mu(a, b) + dens mu (2 mu - 1) / (a (a + b + 1)).
-    When both are larger, mpmath's hypergeometric series for the incomplete
-    beta cancels too much to converge, and the lower side comes from
+    While a shape is below 10, from mpmath's regularized incomplete beta, as
+    var I_mu(a, b) + dens mu (2 mu - 1) / (a (a + b + 1)).  The two terms are
+    of order a/b for a << b while the lower side is of order (a/b)^2, so they
+    cancel about one digit per decade between the shapes: the sum runs at 50
+    digits plus two per decade, 210 at (1e-280, 1e-200).  When both are
+    larger, mpmath's hypergeometric series for the incomplete beta cancels
+    too much to converge, and the lower side comes from
     ``mp_lower_semivariance``; at shapes from 2 up the two agree to 20
     digits.  The upper side is the variance less the lower.
     """
-    with mpmath.workdps(50):
+    spread = abs(math.log10(a) - math.log10(b))
+    with mpmath.workdps(50 + math.ceil(2 * spread)):
         ma, mb = mpmath.mpf(a), mpmath.mpf(b)
         mu = ma / (ma + mb)
         var = ma * mb / ((ma + mb) ** 2 * (ma + mb + 1))

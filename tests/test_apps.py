@@ -91,6 +91,13 @@ class TestVotingPower:
         se = mc.valuation.gain_se + mc.valuation.loss_se
         assert np.all(np.abs(mc.power - exact.power) <= 4 * se)
 
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_power_is_float64(self, method):
+        # The CLI prints power.tolist(): an integer array would print ints.
+        model = CoalitionModel(5, 1.0, 1.0)
+        report = voting_power(model, WeightedVotingGame([3, 1, 2, 2, 1], 5), method, 2000)
+        assert report.power.dtype == np.float64
+
     def test_rejects_non_binary_games(self):
         model = CoalitionModel(3, 1.0, 1.0)
         with pytest.raises(DomainError):

@@ -398,3 +398,33 @@ class TestOrdering:
             game = random_monotone_game(n, rng)
             for i, j in itertools.permutations(range(1, n + 1), 2):
                 ordering_check(model, game, i, j)
+
+
+_JSON_ROUTES = {
+    "exact-size": (KOutOfNGame(6, 4), None),
+    "exact-additive": (AdditiveGame([1.0, 2.5, 0.25]), None),
+    "exact-counts": (WeightedVotingGame([3, 1, 2, 2], 5), None),
+    "exact-table": (random_dense_game(4, np.random.default_rng(31)), None),
+    "mc-rows": (KOutOfNGame(6, 4), 500),
+    "mc-additive": (AdditiveGame([1.0, 2.5, 0.25]), 500),
+    "mc-counted": (random_dense_game(4, np.random.default_rng(31)), 5000),
+}
+
+
+@pytest.mark.parametrize("route", _JSON_ROUTES)
+def test_json_lists_are_python_floats_of_float64_arrays(route):
+    # to_json_dict takes tolist(), which gives ints from an integer array:
+    # JSON would print them with no ".0", where float() gave floats.
+    game, samples = _JSON_ROUTES[route]
+    model = CoalitionModel(game.n, 2.0, 3.0)
+    if samples is None:
+        val = exact_valuation(model, game)
+        arrays, out = [val.gain, val.loss], val.to_json_dict()
+        lists = [out["gamma"], out["lambda"]]
+    else:
+        val = mc_valuation(model, game, samples, seed=3)
+        arrays, out = [val.gain, val.loss, val.gain_se, val.loss_se], val.to_json_dict()
+        lists = [out["gamma"], out["lambda"], *(out["std_error"][k] for k in ("gamma", "lambda"))]
+    assert [a.dtype for a in arrays] == [np.float64] * len(arrays)
+    assert lists == [list(map(float, a)) for a in arrays]
+    assert {type(x) for xs in lists for x in xs} == {float}

@@ -2,10 +2,13 @@
 
 Skipping the other rows must leave the sums of every ``mc_valuation``
 stream byte for byte as the stream that flips every row gives them, and a
-skipped row must really have no marginal.
+skipped row must really have no marginal.  An additive game flips no row:
+its production sums keep those bytes, and each per-player sum is the exact
+count of draws times w_i (or w_i^2), rounded once.
 """
 
 import math
+from fractions import Fraction
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -57,13 +60,17 @@ GAMES = {
 }
 
 
+def _scale(game) -> float:
+    shift = max(0, math.frexp(game.value_bound())[1] - dvalue._MC_MAX_EXP)
+    return math.ldexp(1.0, -shift)
+
+
 def _stream_sums(stream, model, game, samples, seed, streams, workers) -> list[bytes]:
     """The sums of each stream as mc_valuation splits the samples and scales
     the values, each stream from ``stream``, run on ``workers`` threads."""
     rngs = spawn_streams(seed, streams)
     base, extra = divmod(samples, streams)
-    shift = max(0, math.frexp(game.value_bound())[1] - dvalue._MC_MAX_EXP)
-    scale = math.ldexp(1.0, -shift)
+    scale = _scale(game)
 
     def run(k):
         count = base + (1 if k < extra else 0)
@@ -86,7 +93,31 @@ def test_same_bytes_as_flipping_every_row(name, streams, workers):
         samples = 3 * max(1, dvalue._MC_CELLS // game.n) + 17
         args = (model, game, samples, 5, streams, workers)
         got = _stream_sums(dvalue._mc_stream, *args)
-        assert got == _stream_sums(flip_every_row_stream, *args)
+        want = _stream_sums(flip_every_row_stream, *args)
+        if not isinstance(game, AdditiveGame):
+            assert got == want
+            continue
+        # The same spawned streams, counted: how often each player is inside.
+        counts = _stream_sums(_inside_counts, *args)
+        w = (game.player_values * _scale(game)).tolist()  # a power of two, so exact
+        for sums, flipped, drawn in zip(got, want, counts):
+            *inside, count = np.frombuffer(drawn, np.int64).tolist()
+            assert sums[-24:] == flipped[-24:]  # production, its square, count
+            expected = []
+            for k in (inside, [count - k_i for k_i in inside]):
+                expected += [float(Fraction(w_i) * k_i) for w_i, k_i in zip(w, k)]
+                expected += [float(Fraction(w_i * w_i) * k_i) for w_i, k_i in zip(w, k)]
+            assert np.frombuffer(sums[:-24]).tolist() == expected
+
+
+def _inside_counts(model, game, rng, count, scale) -> np.ndarray:
+    """How often each player is drawn inside over one stream's chunks, then
+    the stream's sample count."""
+    rows = max(1, dvalue._MC_CELLS // game.n)
+    inside = np.zeros(game.n, dtype=np.int64)
+    for done in range(0, count, rows):
+        inside += sample_memberships(model, rng, min(rows, count - done)).sum(axis=0)
+    return np.append(inside, count)
 
 
 def _membership_rows(game, count=3000):

@@ -79,8 +79,14 @@ class TestBasicStatistics:
         assert beta_variance(a, b) == pytest.approx(ref, rel=5e-16, abs=0.0)
 
     # At (2e-310, 1e-300) the mode factor is a deep subnormal, which the
-    # lower side's series scales up before its products.
-    @pytest.mark.parametrize("a, b", [(1e-300, 1e-300), (1e-300, 3e-300), (2e-310, 1e-300)])
+    # lower side's series scales up before its products; at (5e-324, 1e-300)
+    # ab / (a + b) is subnormal too, so its square root is taken before the
+    # division by sqrt(2 pi).  At (1e-280, 1e-200) the oracle's two terms
+    # cancel 80 digits.
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1e-300, 1e-300), (1e-300, 3e-300), (2e-310, 1e-300), (5e-324, 1e-300), (1e-280, 1e-200)],
+    )
     def test_tiny_shapes_summarize(self, a, b):
         s = summarize(PosteriorRate(a, b, 0.5))
         ref_lo, ref_up = mp_semivariances(a, b)
