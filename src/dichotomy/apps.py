@@ -109,10 +109,11 @@ def _require_binary_monotone(game: Game) -> None:
     table = game.dense_values()
     if not np.isin(table, (0.0, 1.0)).all():
         raise DomainError("voting games must take values in {0,1}")
-    for i in range(game.n):
-        # Each mask without player i + 1 beside the same mask with them.
-        t = table.reshape(-1, 2, 1 << i)
-        if np.any(t[:, 1] < t[:, 0]):
+    from .dvalue import _pair_walk
+
+    for _, [(without, with_)], _ in _pair_walk(game.n, table):
+        # Each mask without a player beside the same mask with them.
+        if np.less(with_, without, order="C").any():
             raise DomainError("voting games must be monotone")
 
 

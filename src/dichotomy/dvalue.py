@@ -57,6 +57,11 @@ _MAX_SAMPLES = 1 << 53
 # reach 2**_MC_MAX_EXP is scaled by a power of two, which is exact, so that
 # |marginal| < 2**401 and the sums of squares stay finite up to 2**220 samples.
 _MC_MAX_EXP = 400
+# Pairs per block of the pair walk.  A block's slices of the table, the
+# weights and the counts stay in L2 while every player runs over them.  A
+# power of two of at least 128, so that the block sums fold to the bits of
+# numpy's pairwise sum, which splits a contiguous array down to 128 entries.
+_PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -111,12 +116,64 @@ def _subset_weights(pmf: np.ndarray) -> np.ndarray:
     return pmf / np.array([math.comb(n, t) for t in range(n + 1)], dtype=float)
 
 
+def _pair_block(n: int) -> int:
+    """Pairs per block of ``_pair_walk`` over 2^n-entry arrays: the length of
+    the buffers its ``lay`` shapes."""
+    return min(1 << (n - 1), _PAIR_BLOCK)
+
+
+def _pair_walk(n: int, *arrays: np.ndarray):
+    """Every pair (T, T + i) of 2^n-entry arrays, a block of pairs at a time.
+
+    Pair c of player i + 1 is (T, T + i), where T = c + (c >> i << i) spreads
+    the bits of c around bit i, so T has |c| members.  The pair indices are
+    cut into aligned blocks of ``_PAIR_BLOCK`` (one block when 2^(n-1) is no
+    larger), and each block runs every player in turn, so that its slices of
+    the arrays stay in cache.  Yields (pairs, views, lay) for each block and
+    player: ``pairs`` slices the block out of the pair indices, ``views``
+    holds the (T, T + i) views of each array, and ``lay(buf)`` shapes a
+    contiguous buffer of ``_pair_block(n)`` entries as the views, so that
+    ufuncs called with ``order="C"`` match each pair with its own entry.
+    """
+    size = _pair_block(n)
+    for start in range(0, 1 << (n - 1), size):
+        pairs = slice(start, start + size)
+        for i in range(n):
+            run, first = 1 << i, start + (start >> i << i)  # first: T of pair start
+            if run <= size:  # whole runs: one slice of 2 * size, as (-1, 2, run)
+                shape = (size >> i, run)
+                cuts = [x[first : first + 2 * size].reshape(-1, 2, run) for x in arrays]
+                views = [(x[:, 0], x[:, 1]) for x in cuts]
+            else:  # within one run: two slices of size, run apart
+                shape = (1, size)
+                views = [(x[None, first : first + size], x[None, first + run : first + run + size])
+                         for x in arrays]
+            if i in (1, 2):
+                # Runs of 2 and 4 pairs are walked across, in long inner loops.
+                views = [(lo.T, hi.T) for lo, hi in views]
+                yield pairs, views, lambda buf, s=shape: buf.reshape(s).T
+            else:
+                yield pairs, views, lambda buf, s=shape: buf.reshape(s)
+
+
+def _fold(sums: np.ndarray) -> np.ndarray:
+    """Add the per-block sums on the last axis pairwise, as numpy's sum adds
+    the aligned power-of-two chunks of a contiguous array: the blocks of a
+    pair walk sum to the bits of one sum over all the pairs."""
+    while sums.shape[-1] > 1:
+        sums = sums[..., 0::2] + sums[..., 1::2]
+    return sums[..., 0].copy()
+
+
 def _exact(
     model: CoalitionModel, game: Game, players: bool = True, totals: bool = True
 ) -> tuple[Valuation | None, np.ndarray | None]:
     """The one place that picks a game's exact path: the size law for
     size-symmetric games, the prior mean for additive ones, counts for
-    integer voting weights, else enumeration of the 2^n table.
+    integer voting weights, else enumeration of the 2^n table.  The table
+    pass walks the (T, T + i) pairs in cache-sized blocks with every player
+    per block (``_pair_walk``), in two block-long buffers, and folds each
+    player's block sums pairwise: the bits of one sum over all its pairs.
 
     Returns the Valuation when ``players`` and, when ``totals``, P(S = T)
     times the sum of v(T) over the coalitions T of each size t (the last
@@ -167,20 +224,19 @@ def _exact(
         table = game.dense_values()
         weight = _mask_weights(_subset_weights(pmf))  # P(S = T)
         if players:
-            # Pair c of player i + 1 is (T, T + i), where T spreads the bits of
-            # c around bit i: T has |c| members, so P(S = T) = weight[c] and
-            # P(S = T + i) = weight[2^(n-1) + c], whichever the player.
+            # P(S = T) = weight[c] and P(S = T + i) = weight[2^(n-1) + c] for
+            # pair c of every player (see _pair_walk).
             half = 1 << (n - 1)
             outside, inside = weight[:half], weight[half:]
-            gain, loss = np.empty(n), np.empty(n)
-            step, gained = np.empty(half), np.empty(half)
-            for i in range(n):
+            step, gained = np.empty((2, _pair_block(n)))
+            sums = []
+            for pairs, [(lo, hi)], lay in _pair_walk(n, table):
                 # Each term is one weighted marginal, so nothing cancels.
-                t = table.reshape(-1, 2, 1 << i)
-                np.subtract(t[:, 1], t[:, 0], out=step.reshape(-1, 1 << i))
-                np.multiply(inside, step, out=gained)
-                step *= outside
-                gain[i], loss[i] = gained.sum(), step.sum()
+                np.subtract(hi, lo, out=lay(step), order="C")
+                np.multiply(inside[pairs], step, out=gained)
+                step *= outside[pairs]
+                sums.append((gained.sum(), step.sum()))
+            gain, loss = _fold(np.reshape(sums, (-1, n, 2)).T)
         weight *= table
         if players:
             production = float(weight.sum())
@@ -316,24 +372,25 @@ def _mc_table_sums(game: DenseTableGame, drawn: np.ndarray, scale: float) -> np.
     A row S = T + i adds the step v(T + i) - v(T) to the gain of player
     i + 1, and a row S = T adds it to the loss, so each pair (T, T + i) is
     weighed once, by the count of T + i and by the count of T, where
-    ``_exact`` weighs it by P(S = T + i) and P(S = T).
+    ``_exact`` weighs it by P(S = T + i) and P(S = T).  The pairs are walked
+    as there, block by block with every player per block, and the block sums
+    fold to the bits of one sum per player.
     """
     n = game.n
     acc = np.zeros(4 * n + 3)
-    per_player = acc[: 4 * n].reshape(2, 2, n)
     count = drawn.astype(float)  # exact below 2^53 samples
     values = _scaled(game.table, scale)
-    half = 1 << (n - 1)
-    step, weighed = np.empty(half), np.empty(half)
-    for i in range(n):
-        t, c = values.reshape(-1, 2, 1 << i), count.reshape(-1, 2, 1 << i)
-        np.subtract(t[:, 1], t[:, 0], out=step.reshape(-1, 1 << i))
-        # Added into the zeroed sums, as _mc_stream adds its column sums.
-        for block, rows in zip(per_player, (c[:, 1], c[:, 0])):
-            np.multiply(rows, step.reshape(-1, 1 << i), out=weighed.reshape(-1, 1 << i))
-            block[0, i] += weighed.sum()
+    step, weighed = np.empty((2, _pair_block(n)))
+    sums = []
+    for _, [(lo, hi), (outside, inside)], lay in _pair_walk(n, values, count):
+        np.subtract(hi, lo, out=lay(step), order="C")
+        for rows in (inside, outside):  # the gain by count(T + i), the loss by count(T)
+            np.multiply(rows, lay(step), out=lay(weighed), order="C")
+            total = weighed.sum()
             weighed *= step
-            block[1, i] += weighed.sum()
+            sums.append((total, weighed.sum()))
+    # Added into the zeroed sums, as _mc_stream adds its column sums.
+    acc[: 4 * n] += _fold(np.reshape(sums, (-1, n, 4)).T).reshape(-1)
     count *= values  # in place: c v, then c v^2
     production = count.sum()
     count *= values

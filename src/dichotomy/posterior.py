@@ -98,15 +98,9 @@ def _mode_factor(a: float, b: float) -> float:
     """exp(_log_mode_factor(a, b)) without the exp of a log of order log(a
     + b), which would magnify the log's last-place rounding into the factor."""
     lo, hi = sorted((a, b))
-    x = lo * (hi / (a + b))
-    # A subnormal x divided by 2 pi would lose its digits (5e-324 to 0), so
-    # its square root, a normal float, is divided instead; a normal x keeps
-    # the one rounding of the quotient.
-    if x < 2.0**-1022:  # the smallest normal float
-        root = math.sqrt(x) / math.sqrt(2.0 * math.pi)
-    else:
-        root = math.sqrt(x / (2.0 * math.pi))
-    return root * math.exp(_stirlerr(a + b) - _stirlerr(a) - _stirlerr(b))
+    return math.sqrt(lo * (hi / (a + b)) / (2.0 * math.pi)) * math.exp(
+        _stirlerr(a + b) - _stirlerr(a) - _stirlerr(b)
+    )
 
 
 def _check_shapes(a: float, b: float) -> None:
@@ -210,9 +204,16 @@ def _lower_semivariance_series(a: float, b: float) -> float:
         rest = terms[-1] * (a + 1.0 + start) / (1.0 + start * nu)
         if not rest > 2.0**-60 * tail:  # also ends at a zero tail or a nan shape
             break
-    # A deep-subnormal mode factor is scaled up first, so the products keep its bits.
-    shift = 600 if (mode := _mode_factor(a, b)) < 2.0**-900 else 0
-    lower = math.ldexp(mode, shift) * (mu + nu * tail) / total / (total + 1.0)
+    shift = 0
+    if (mode := _mode_factor(a, b)) < 2.0**-900:
+        # A factor this small needs a < 2^-898, where mu^a nu^b and
+        # Gamma(1 + a + b) / (Gamma(1 + a) Gamma(1 + b)) are 1 within 1500 a,
+        # so the factor is a b / (a + b) to double precision.  It is formed
+        # scaled up, before it could round to a subnormal, and so are the
+        # products.
+        shift = 600
+        mode = math.ldexp(a, shift) * nu
+    lower = mode * (mu + nu * tail) / total / (total + 1.0)
     return math.ldexp(lower, -shift)
 
 

@@ -432,6 +432,45 @@ def flip_every_row_stream(model, game, rng, count, scale) -> np.ndarray:
     return acc
 
 
+# --- the counted Monte Carlo pass, one player at a time ----------------------
+#
+# ``dvalue._mc_table_sums`` as the library ran it before it walked the pairs
+# in blocks: each player's pairs through one reshape of the whole table, and
+# each sum over all 2^(n-1) pairs at once.
+
+def signed_table(n: int):
+    """A table of both signs over six decades, seeded by n."""
+    from dichotomy.production import DenseTableGame
+
+    rng = np.random.default_rng(n)
+    values = rng.standard_normal(1 << n) * 10.0 ** rng.uniform(-3, 3, 1 << n)
+    values[0] = 0.0
+    return DenseTableGame(n, values)
+
+
+def unblocked_mc_table_sums(game, drawn, scale) -> np.ndarray:
+    n = game.n
+    acc = np.zeros(4 * n + 3)
+    per_player = acc[: 4 * n].reshape(2, 2, n)
+    count = drawn.astype(float)
+    values = game.table if scale == 1.0 else game.table * scale
+    half = 1 << (n - 1)
+    step, weighed = np.empty(half), np.empty(half)
+    for i in range(n):
+        t, c = values.reshape(-1, 2, 1 << i), count.reshape(-1, 2, 1 << i)
+        np.subtract(t[:, 1], t[:, 0], out=step.reshape(-1, 1 << i))
+        for block, rows in zip(per_player, (c[:, 1], c[:, 0])):
+            np.multiply(rows, step.reshape(-1, 1 << i), out=weighed.reshape(-1, 1 << i))
+            block[0, i] += weighed.sum()
+            weighed *= step
+            block[1, i] += weighed.sum()
+    count *= values
+    production = count.sum()
+    count *= values
+    acc[4 * n :] += (production, count.sum(), drawn.sum())
+    return acc
+
+
 # --- semivalues ---------------------------------------------------------------
 
 def shapley_by_permutations(n, v) -> list[float]:

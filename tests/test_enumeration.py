@@ -4,12 +4,13 @@ Tables, valuations and pair checks must match the (2^n, n) membership matrix
 and per-player masks byte for byte, and stay within a few tables of memory.
 """
 
+import json
 import operator
 
 import numpy as np
 import pytest
 
-from dichotomy import dvalue, production
+from dichotomy import cli, dvalue, production
 from dichotomy.apps import voting_power
 from dichotomy.coalition import CoalitionModel, _size_pmf_vector
 from dichotomy.dvalue import (
@@ -17,6 +18,7 @@ from dichotomy.dvalue import (
     aggregate_loss_closed_form,
     exact_valuation,
     expected_production,
+    mc_valuation,
 )
 from dichotomy.errors import DomainError
 from dichotomy.production import (
@@ -38,6 +40,7 @@ from _oracles import (
     masked_outperforms,
     masked_size_totals,
     peak_tables,
+    signed_table,
 )
 
 
@@ -264,6 +267,64 @@ def test_voting_certificate_matches_masks():
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("shape", [(2.5, 1.5), (1.0, 1e6), (1e6, 1.0), (0.05, 0.05)])
+@pytest.mark.parametrize("n", range(8, 13))
+@pytest.mark.parametrize("signed", [True, False], ids=["signed", "monotone"])
+def test_pair_walk_blocks_match_per_player_masks(signed, n, shape, monkeypatch):
+    # Blocks of 128 pairs: one at n = 8, sixteen at n = 12, every player per
+    # block.  The block sums fold pairwise, as numpy adds the aligned chunks
+    # of one sum over all of a player's pairs.
+    monkeypatch.setattr(dvalue, "_PAIR_BLOCK", 128)
+    game = signed_table(n) if signed else random_monotone_game(n, np.random.default_rng(n))
+    model = CoalitionModel(n, *shape)
+    val = exact_valuation(model, game)
+    gain, loss, production_ = masked_exact_dense(model, game.table)
+    assert val.gain.tobytes() == gain.tobytes()
+    assert val.loss.tobytes() == loss.tobytes()
+    assert val.expected_production == production_
+
+
+@pytest.mark.parametrize("block", [128, dvalue._PAIR_BLOCK])
+def test_sums_of_negative_zeros_print_zero(block, monkeypatch):
+    # Every step of player 1 is -0.0 - 0.0 = -0.0, over four blocks of 128
+    # pairs or one of _PAIR_BLOCK; each sum of them is 0.0, as numpy's is.
+    monkeypatch.setattr(dvalue, "_PAIR_BLOCK", block)
+    n = 10
+    game = DenseTableGame(n, np.where(np.arange(1 << n) & 1, -0.0, 0.0))
+    model = CoalitionModel(n, 2.0, 3.0)
+    for val in (exact_valuation(model, game), mc_valuation(model, game, 1 << n, 3)):
+        assert not np.signbit(val.gain).any() and not np.signbit(val.loss).any()
+        assert "-0" not in json.dumps(val.to_json_dict())
+
+
+def test_voting_certificate_across_blocks(tmp_path, monkeypatch, capsys):
+    # Blocks of 128 pairs, eight at n = 10: the first non-monotone pair may
+    # sit in any block, and the rejection keeps its text and exit code.
+    monkeypatch.setattr(dvalue, "_PAIR_BLOCK", 128)
+    n = 10
+    model = CoalitionModel(n, 2.0, 3.0)
+    rng = np.random.default_rng(4)
+    values = (random_monotone_game(n, rng).table >= 1.0).astype(float)
+    assert masked_is_monotone(values, n)
+    assert np.all(np.isfinite(voting_power(model, DenseTableGame(n, values)).power))
+    masks = np.arange(1 << n)
+    # Winning coalitions with a winning coalition one player smaller.
+    above = np.zeros(1 << n, dtype=bool)
+    for i in range(n):
+        above |= (masks >> i & 1 == 1) & (values[masks & ~(1 << i)] == 1.0)
+    for mask in rng.choice(np.flatnonzero(above), 6, replace=False):
+        flipped = values.copy()
+        flipped[mask] = 0.0  # now below a coalition it contains
+        assert not masked_is_monotone(flipped, n)
+        with pytest.raises(DomainError, match="^voting games must be monotone$"):
+            voting_power(model, DenseTableGame(n, flipped))
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"n": n, "values": flipped.tolist()}))
+    argv = ["apps", "voting", "--game", str(path), "--theta", "2", "--rho", "3"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: voting games must be monotone\n")
+
+
 class TestMemory:
     n = 18
 
@@ -291,3 +352,11 @@ class TestMemory:
         model = CoalitionModel(self.n, 2.0, 3.0)
         game = random_dense_game(self.n, np.random.default_rng(5))
         assert peak_tables(lambda: fn(model, game), self.n) <= 3
+
+    def test_pair_walk_holds_block_buffers(self):
+        # Beside the stored table, the valuation holds the mask weights (one
+        # table) and two work buffers of _PAIR_BLOCK floats, an eighth of a
+        # table at n = 18, not two half tables.
+        model = CoalitionModel(self.n, 2.0, 3.0)
+        game = random_dense_game(self.n, np.random.default_rng(5))
+        assert peak_tables(lambda: exact_valuation(model, game), self.n) < 1.3

@@ -31,7 +31,7 @@ from dichotomy.production import (
     random_dense_game,
 )
 
-from _oracles import peak_tables, subset_prob
+from _oracles import peak_tables, signed_table, subset_prob, unblocked_mc_table_sums
 
 
 class _Rows(Game):
@@ -138,6 +138,24 @@ def test_integer_tables_print_the_bytes_of_the_rows(name, streams, workers, monk
         # A sum of -0.0 terms is added into the zeroed sums: it prints 0.0.
         for x in (got.gain, got.loss, got.gain_se, got.loss_se):
             assert not np.signbit(x[x == 0.0]).any()
+
+
+@pytest.mark.parametrize(
+    "n, block",
+    [(n, None) for n in (1, 2, 3)] + [(n, 128) for n in range(8, 13)] + [(16, None), (17, None)],
+)
+def test_pair_walk_keeps_the_bits_of_one_pass_per_player(n, block, monkeypatch):
+    # Below n = 4 the one block is shorter than _PAIR_BLOCK; blocks of 128
+    # pairs make n = 8 one block and n = 12 sixteen; at the real block n = 16
+    # is two blocks and n = 17 four.  The block sums fold pairwise, as numpy
+    # adds the aligned chunks of one sum over all the pairs.
+    if block:
+        monkeypatch.setattr(dvalue, "_PAIR_BLOCK", block)
+    drawn = np.random.default_rng(n).integers(0, 1000, 1 << n)
+    for game in (signed_table(n), _integers_and_signed_zeros(n)):
+        for scale in (1.0, 2.0**-3):
+            got = dvalue._mc_table_sums(game, drawn, scale)
+            assert got.tobytes() == unblocked_mc_table_sums(game, drawn, scale).tobytes()
 
 
 def _exact_means(table, drawn, n):

@@ -78,11 +78,9 @@ class TestBasicStatistics:
             ref = float(ma * mb / ((ma + mb) ** 2 * (ma + mb + 1)))
         assert beta_variance(a, b) == pytest.approx(ref, rel=5e-16, abs=0.0)
 
-    # At (2e-310, 1e-300) the mode factor is a deep subnormal, which the
-    # lower side's series scales up before its products; at (5e-324, 1e-300)
-    # ab / (a + b) is subnormal too, so its square root is taken before the
-    # division by sqrt(2 pi).  At (1e-280, 1e-200) the oracle's two terms
-    # cancel 80 digits.
+    # At (2e-310, 1e-300) and (5e-324, 1e-300) the mode factor is below
+    # 2^-900, so the lower side's series forms it as a nu scaled by 2^600.
+    # At (1e-280, 1e-200) the oracle's two terms cancel 80 digits.
     @pytest.mark.parametrize(
         "a, b",
         [(1e-300, 1e-300), (1e-300, 3e-300), (2e-310, 1e-300), (5e-324, 1e-300), (1e-280, 1e-200)],
@@ -217,6 +215,21 @@ class TestSemivariances:
             ref_up = ma * mb / ((ma + mb) ** 2 * (ma + mb + 1)) - ref_lo
         assert lo == pytest.approx(float(ref_lo), rel=1e-10, abs=0.0)
         assert up == pytest.approx(float(ref_up), rel=1e-10, abs=0.0)
+
+    # Where the mode factor is below 2^-900 (subnormal at most of these
+    # shapes), it is a b / (a + b) to double precision, and the series forms
+    # it scaled up by 2^600, so that neither it nor the products round to a
+    # subnormal, which would drop digits.
+    @pytest.mark.parametrize(
+        "a, b",
+        [(3e-320, 1e-310), (1e-310, 3e-320), (2e-310, 1e-300)]
+        + [tuple(x) for x in 10.0 ** np.random.default_rng(7).uniform(-323, -290, (20, 2))],
+    )
+    def test_deep_subnormal_mode_factor_against_mpmath(self, a, b):
+        lo, up = semivariances(a, b)
+        ref_lo, ref_up = mp_semivariances(a, b)
+        assert abs(lo / ref_lo - 1) <= 1e-15
+        assert abs(up / ref_up - 1) <= 1e-15
 
     @pytest.mark.parametrize("a, b", [(math.inf, 2.0), (2.0, math.inf)])
     def test_infinite_shape_gives_nan(self, a, b):
