@@ -1,9 +1,10 @@
 """End-to-end applications of the valuation and the balanced-budget rule.
 
 Covers the per-capita division of realized production between the two sides
-of the bipartition, power measurement in binary voting games, premium
-setting for an insurance pool (a negative reserve ratio), and the dynamic
-toll that equalizes driver costs on a tolled road segment.
+of the bipartition, power measurement in binary voting games (by whichever
+valuation function the caller passes, exact by default), premium setting for
+an insurance pool (a negative reserve ratio), and the dynamic toll that
+equalizes driver costs on a tolled road segment.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import TYPE_CHECKING
 from .errors import DataError, DomainError
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import numpy as np
 
     from .coalition import CoalitionModel
@@ -77,10 +80,6 @@ class PowerReport:
     power: np.ndarray
     valuation: Valuation
 
-    @property
-    def method(self) -> str:
-        return self.valuation.method
-
 
 def _require_binary_monotone(game: Game) -> None:
     import numpy as np
@@ -111,7 +110,7 @@ def _require_binary_monotone(game: Game) -> None:
         raise DomainError("voting games must take values in {0,1}")
     from .dvalue import _pair_walk
 
-    for _, [(without, with_)], _ in _pair_walk(game.n, table):
+    for _, [(without, with_)], _ in _pair_walk(table):
         # Each mask without a player beside the same mask with them.
         if np.less(with_, without, order="C").any():
             raise DomainError("voting games must be monotone")
@@ -120,26 +119,21 @@ def _require_binary_monotone(game: Game) -> None:
 def voting_power(
     model: CoalitionModel,
     game: Game,
-    method: str = "exact",
-    samples: int = 1_000_000,
-    seed: int = 0,
-    streams: int = 8,
-    max_workers: int = 1,
+    valuation: Callable[[CoalitionModel, Game], Valuation] | None = None,
 ) -> PowerReport:
     """Power of each voter: marginal gain plus marginal loss.
 
     The gain reads as the probability of turning a blocked result into a
     passed one, the loss as the reverse; their sum measures decisiveness.
+    ``valuation(model, game)`` values the players, after the game is
+    certified a voting game, so a rejected game draws no samples; it is
+    ``exact_valuation`` when None, and ``partial(mc_valuation, samples=...,
+    seed=...)`` estimates the power by Monte Carlo.
     """
-    from .dvalue import exact_valuation, mc_valuation
-
     _require_binary_monotone(game)
-    if method == "exact":
-        val = exact_valuation(model, game)
-    elif method == "mc":
-        val = mc_valuation(model, game, samples, seed, streams, max_workers)
-    else:
-        raise DomainError(f"unknown method {method!r}")
+    if valuation is None:
+        from .dvalue import exact_valuation as valuation
+    val = valuation(model, game)
     power = val.gain + val.loss
     power.setflags(write=False)
     return PowerReport(power=power, valuation=val)
@@ -180,8 +174,6 @@ def insurance_premium(
 class CostCurve:
     """Nondecreasing cost of driving as a function of traffic volume."""
 
-    kind = "abstract"
-
     def __call__(self, volume: float) -> float:
         if volume < 0:
             raise DomainError(f"traffic volume must be non-negative, got {volume}")
@@ -195,8 +187,6 @@ class CostCurve:
 
 
 class PowerCurve(CostCurve):
-    kind = "power"
-
     def __init__(self, exponent: float, coefficient: float = 1.0):
         if not (0.0 <= exponent < math.inf and 0.0 <= coefficient < math.inf):
             raise DomainError("cost curves must be nondecreasing and finite")
@@ -213,8 +203,6 @@ class PowerCurve(CostCurve):
 class LinearCurve(PowerCurve):
     """slope * volume: the power curve with exponent 1."""
 
-    kind = "linear"
-
     def __init__(self, slope: float):
         super().__init__(1.0, slope)
         self.slope = self.coefficient
@@ -225,8 +213,6 @@ class LinearCurve(PowerCurve):
 
 class TableCurve(CostCurve):
     """Tabulated curve, interpolated monotonically (piecewise linear)."""
-
-    kind = "table"
 
     def __init__(self, x, y):
         import numpy as np

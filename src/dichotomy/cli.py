@@ -42,6 +42,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import TYPE_CHECKING
 
 from .apps import (
@@ -232,9 +233,20 @@ def _cmd_series(args) -> int:
     return EXIT_OK
 
 
+def _mc_valuation(args):
+    """The Monte Carlo valuation, as a function of (model, game), that the
+    sampling flags of ``dvalue`` and ``apps voting`` ask for."""
+    from .dvalue import mc_valuation
+
+    return partial(
+        mc_valuation, samples=args.samples, seed=args.seed,
+        streams=args.streams, max_workers=args.threads,
+    )
+
+
 def _cmd_dvalue(args) -> int:
     from .coalition import CoalitionModel
-    from .dvalue import _closed_form, _exact, mc_valuation
+    from .dvalue import _closed_form, _exact
 
     game = parse_game_spec(args.game)
     model = CoalitionModel(game.n, args.theta, args.rho)
@@ -242,10 +254,7 @@ def _cmd_dvalue(args) -> int:
         # One size law and one pass give the valuation and the size totals.
         val, totals = _exact(model, game)
     else:
-        val = mc_valuation(
-            model, game, args.samples, args.seed,
-            streams=args.streams, max_workers=args.threads,
-        )
+        val = _mc_valuation(args)(model, game)
         try:
             totals = _exact(model, game, players=False)[1]
         except CapacityError:
@@ -339,15 +348,12 @@ def _cmd_voting(args) -> int:
 
     game = parse_game_spec(args.game)
     model = CoalitionModel(game.n, args.theta, args.rho)
-    report = voting_power(
-        model, game, method=args.method, samples=args.samples,
-        seed=args.seed, streams=args.streams, max_workers=args.threads,
-    )
+    report = voting_power(model, game, None if args.method == "exact" else _mc_valuation(args))
     out = {
         "n": model.n,
         "theta": model.theta,
         "rho": model.rho,
-        "method": report.method,
+        "method": report.valuation.method,
         "power": report.power.tolist(),
         "valuation": report.valuation.to_json_dict(),
     }

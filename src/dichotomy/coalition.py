@@ -102,12 +102,6 @@ class SubsetId:
             m |= 1 << (i - 1)
         return m
 
-    def with_player(self, i: int) -> "SubsetId":
-        return SubsetId(self.n, self.members | {i})
-
-    def without_player(self, i: int) -> "SubsetId":
-        return SubsetId(self.n, self.members - {i})
-
 
 def _running_sum(d: np.ndarray, backward: bool = False) -> np.ndarray:
     """[0, d[0], d[0] + d[1], ..., sum(d)], summed blockwise; backward, the

@@ -116,50 +116,52 @@ def _subset_weights(pmf: np.ndarray) -> np.ndarray:
     return pmf / np.array([math.comb(n, t) for t in range(n + 1)], dtype=float)
 
 
-def _pair_block(n: int) -> int:
-    """Pairs per block of ``_pair_walk`` over 2^n-entry arrays: the length of
-    the buffers its ``lay`` shapes."""
-    return min(1 << (n - 1), _PAIR_BLOCK)
-
-
-def _pair_walk(n: int, *arrays: np.ndarray):
+def _pair_walk(*arrays: np.ndarray):
     """Every pair (T, T + i) of 2^n-entry arrays, a block of pairs at a time.
 
     Pair c of player i + 1 is (T, T + i), where T = c + (c >> i << i) spreads
     the bits of c around bit i, so T has |c| members.  The pair indices are
     cut into aligned blocks of ``_PAIR_BLOCK`` (one block when 2^(n-1) is no
     larger), and each block runs every player in turn, so that its slices of
-    the arrays stay in cache.  Yields (pairs, views, lay) for each block and
-    player: ``pairs`` slices the block out of the pair indices, ``views``
-    holds the (T, T + i) views of each array, and ``lay(buf)`` shapes a
-    contiguous buffer of ``_pair_block(n)`` entries as the views, so that
-    ufuncs called with ``order="C"`` match each pair with its own entry.
+    the arrays stay in cache.  Yields (pairs, views, buffers) for each block
+    and player: ``pairs`` slices the block out of the pair indices, ``views``
+    holds the (T, T + i) views of each array, and ``buffers`` the walk's two
+    block-long scratch buffers, the same two at every step, each as (flat,
+    laid): ``laid`` shapes ``flat`` as the views, so that ufuncs called with
+    ``order="C"`` match each pair with its own entry of ``flat``.
     """
-    size = _pair_block(n)
+    n = len(arrays[0]).bit_length() - 1
+    size = min(1 << (n - 1), _PAIR_BLOCK)
+    flats = np.empty((2, size))
+    # Pair c is [c >> i, :, c % 2^i] of the (-1, 2, 2^i) view: a block holds
+    # size >> i whole runs of 2^i pairs, or lies within one run.
+    players = []
+    for i in range(n):
+        rows = max(1, size >> i)
+        laid = flats.reshape(2, rows, -1)
+        if i in (1, 2):  # runs of 2 and 4 pairs are walked across, in long inner loops
+            laid = laid.transpose(0, 2, 1)
+        shaped = [x.reshape(-1, 2, 1 << i) for x in arrays]
+        players.append((rows, shaped, list(zip(flats, laid))))
     for start in range(0, 1 << (n - 1), size):
         pairs = slice(start, start + size)
-        for i in range(n):
-            run, first = 1 << i, start + (start >> i << i)  # first: T of pair start
-            if run <= size:  # whole runs: one slice of 2 * size, as (-1, 2, run)
-                shape = (size >> i, run)
-                cuts = [x[first : first + 2 * size].reshape(-1, 2, run) for x in arrays]
-                views = [(x[:, 0], x[:, 1]) for x in cuts]
-            else:  # within one run: two slices of size, run apart
-                shape = (1, size)
-                views = [(x[None, first : first + size], x[None, first + run : first + run + size])
-                         for x in arrays]
+        for i, (rows, shaped, buffers) in enumerate(players):
+            a, b = divmod(start, 1 << i)
+            without, with_ = ((slice(a, a + rows), side, slice(b, b + size)) for side in (0, 1))
+            views = [(x[without], x[with_]) for x in shaped]
             if i in (1, 2):
-                # Runs of 2 and 4 pairs are walked across, in long inner loops.
                 views = [(lo.T, hi.T) for lo, hi in views]
-                yield pairs, views, lambda buf, s=shape: buf.reshape(s).T
-            else:
-                yield pairs, views, lambda buf, s=shape: buf.reshape(s)
+            yield pairs, views, buffers
 
 
-def _fold(sums: np.ndarray) -> np.ndarray:
-    """Add the per-block sums on the last axis pairwise, as numpy's sum adds
-    the aligned power-of-two chunks of a contiguous array: the blocks of a
-    pair walk sum to the bits of one sum over all the pairs."""
+def _fold(sums: list, n: int) -> np.ndarray:
+    """The per-player totals of a pair walk's sums: ``sums`` holds one tuple
+    per block and player, and entry k of the result is the (n,) totals of
+    entry k of the tuples.  Each player's block sums are added pairwise, as
+    numpy's sum adds the aligned power-of-two chunks of a contiguous array,
+    so they total to the bits of one sum over all the pairs."""
+    sums = np.asarray(sums)
+    sums = sums.reshape(-1, n, sums.shape[-1]).T
     while sums.shape[-1] > 1:
         sums = sums[..., 0::2] + sums[..., 1::2]
     return sums[..., 0].copy()
@@ -172,8 +174,9 @@ def _exact(
     size-symmetric games, the prior mean for additive ones, counts for
     integer voting weights, else enumeration of the 2^n table.  The table
     pass walks the (T, T + i) pairs in cache-sized blocks with every player
-    per block (``_pair_walk``), in two block-long buffers, and folds each
-    player's block sums pairwise: the bits of one sum over all its pairs.
+    per block, in the two block-long buffers that ``_pair_walk`` owns, and
+    ``_fold`` adds each player's block sums pairwise: the bits of one sum
+    over all its pairs.
 
     Returns the Valuation when ``players`` and, when ``totals``, P(S = T)
     times the sum of v(T) over the coalitions T of each size t (the last
@@ -228,15 +231,14 @@ def _exact(
             # pair c of every player (see _pair_walk).
             half = 1 << (n - 1)
             outside, inside = weight[:half], weight[half:]
-            step, gained = np.empty((2, _pair_block(n)))
             sums = []
-            for pairs, [(lo, hi)], lay in _pair_walk(n, table):
+            for pairs, [(lo, hi)], [(step, laid), (gained, _)] in _pair_walk(table):
                 # Each term is one weighted marginal, so nothing cancels.
-                np.subtract(hi, lo, out=lay(step), order="C")
+                np.subtract(hi, lo, out=laid, order="C")
                 np.multiply(inside[pairs], step, out=gained)
                 step *= outside[pairs]
                 sums.append((gained.sum(), step.sum()))
-            gain, loss = _fold(np.reshape(sums, (-1, n, 2)).T)
+            gain, loss = _fold(sums, n)
         weight *= table
         if players:
             production = float(weight.sum())
@@ -373,24 +375,26 @@ def _mc_table_sums(game: DenseTableGame, drawn: np.ndarray, scale: float) -> np.
     i + 1, and a row S = T adds it to the loss, so each pair (T, T + i) is
     weighed once, by the count of T + i and by the count of T, where
     ``_exact`` weighs it by P(S = T + i) and P(S = T).  The pairs are walked
-    as there, block by block with every player per block, and the block sums
-    fold to the bits of one sum per player.
+    as there, block by block with every player per block in the walk's own
+    two buffers, and the block sums fold to the bits of one sum per player.
     """
     n = game.n
     acc = np.zeros(4 * n + 3)
     count = drawn.astype(float)  # exact below 2^53 samples
     values = _scaled(game.table, scale)
-    step, weighed = np.empty((2, _pair_block(n)))
     sums = []
-    for _, [(lo, hi), (outside, inside)], lay in _pair_walk(n, values, count):
-        np.subtract(hi, lo, out=lay(step), order="C")
+    walk = _pair_walk(values, count)
+    for _, [(lo, hi), (outside, inside)], [(step, laid), (weighed, weighed_laid)] in walk:
+        np.subtract(hi, lo, out=laid, order="C")
+        row = []
         for rows in (inside, outside):  # the gain by count(T + i), the loss by count(T)
-            np.multiply(rows, lay(step), out=lay(weighed), order="C")
-            total = weighed.sum()
+            np.multiply(rows, laid, out=weighed_laid, order="C")
+            row.append(weighed.sum())
             weighed *= step
-            sums.append((total, weighed.sum()))
+            row.append(weighed.sum())
+        sums.append(row)
     # Added into the zeroed sums, as _mc_stream adds its column sums.
-    acc[: 4 * n] += _fold(np.reshape(sums, (-1, n, 4)).T).reshape(-1)
+    acc[: 4 * n] += _fold(sums, n).reshape(-1)
     count *= values  # in place: c v, then c v^2
     production = count.sum()
     count *= values

@@ -20,6 +20,7 @@ Stirling and Loader helpers live here, below the array layer, and
 
 import math
 import statistics
+import sys
 from dataclasses import astuple, dataclass, fields
 
 from .errors import DomainError
@@ -115,11 +116,12 @@ def beta_mean(a: float, b: float) -> float:
 
 def beta_variance(a: float, b: float) -> float:
     """ab / ((a + b)^2 (a + b + 1)); in steps where that denominator
-    underflows to 0 or overflows, as at shapes near 1e-300 or 1e200."""
+    underflows to 0 or overflows, as at shapes near 1e-300 or 1e200, or
+    where ab falls below the normal floats, as at (1e-250, 1e-100)."""
     _check_shapes(a, b)
     total = a + b
     den = total * total * (total + 1.0)
-    if 0.0 < den < math.inf:
+    if 0.0 < den < math.inf and a * b >= sys.float_info.min:
         return a * b / den
     return a / total * (b / total) / (total + 1.0)
 

@@ -74,16 +74,12 @@ class Game:
         """
         return self._phi(self._weight_sums(members) if _sums is None else _sums)
 
-    def flipped_values(self, members: np.ndarray) -> np.ndarray:
-        """(k, n) matrix of v(T xor {i}) from the weight sum s of each row:
+    def _flip_stats(self, sums: np.ndarray, members: np.ndarray) -> np.ndarray:
+        """(k, n) weight sums of every T xor {i}, from the sum s of each row T:
         s - w_i for a member, s + w_i for an outsider (the same IEEE
         operation as s + (-w_i)).  Unlike a fresh evaluation of the flipped
-        set, this may round a non-integer weighted game at an exact quota tie
-        to the other side."""
-        return self._phi(self._flip_stats(self._weight_sums(members), members))
-
-    def _flip_stats(self, sums: np.ndarray, members: np.ndarray) -> np.ndarray:
-        """Weight sums of every T xor {i}, from the sums of the rows T."""
+        set, ``_phi`` of these may round a non-integer weighted game at an
+        exact quota tie to the other side."""
         stat = (1 - 2 * members.view(np.int8)) * self._w  # -w_i in T, +w_i outside
         stat += sums[:, None]
         return stat

@@ -7,6 +7,7 @@ here, not tuned at run time.
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_c11_applications():
     model7 = CoalitionModel(7, 2.0, 3.0)
     assert np.ptp(voting_power(model7, KOutOfNGame(7, 4)).power) <= 1e-12
 
-    mc = voting_power(model5, KOutOfNGame(5, 3), method="mc", samples=200_000, seed=11)
+    mc = voting_power(model5, KOutOfNGame(5, 3), partial(mc_valuation, samples=200_000, seed=11))
     se = mc.valuation.gain_se + mc.valuation.loss_se
     for i in range(5):
         for j in range(i + 1, 5):

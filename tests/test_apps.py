@@ -1,4 +1,5 @@
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dichotomy.apps import (
     voting_power,
 )
 from dichotomy.coalition import CoalitionModel
+from dichotomy.dvalue import exact_valuation, mc_valuation
 from dichotomy.errors import DomainError
 from dichotomy.production import (
     AdditiveGame,
@@ -87,15 +89,17 @@ class TestVotingPower:
     def test_monte_carlo_agrees(self):
         model = CoalitionModel(5, 1.0, 1.0)
         exact = voting_power(model, KOutOfNGame(5, 3))
-        mc = voting_power(model, KOutOfNGame(5, 3), method="mc", samples=200_000, seed=4)
+        mc = voting_power(model, KOutOfNGame(5, 3), partial(mc_valuation, samples=200_000, seed=4))
         se = mc.valuation.gain_se + mc.valuation.loss_se
         assert np.all(np.abs(mc.power - exact.power) <= 4 * se)
 
-    @pytest.mark.parametrize("method", ["exact", "mc"])
-    def test_power_is_float64(self, method):
+    @pytest.mark.parametrize(
+        "valuation", [None, partial(mc_valuation, samples=2000, seed=0)], ids=["exact", "mc"]
+    )
+    def test_power_is_float64(self, valuation):
         # The CLI prints power.tolist(): an integer array would print ints.
         model = CoalitionModel(5, 1.0, 1.0)
-        report = voting_power(model, WeightedVotingGame([3, 1, 2, 2, 1], 5), method, 2000)
+        report = voting_power(model, WeightedVotingGame([3, 1, 2, 2, 1], 5), valuation)
         assert report.power.dtype == np.float64
 
     def test_rejects_non_binary_games(self):
@@ -130,6 +134,21 @@ class TestVotingPower:
         # Player 1 alone passes but the full set blocks.
         with pytest.raises(DomainError):
             voting_power(model, DenseTableGame(2, [0, 1, 0, 0]))
+
+    def test_valuation_function_runs_after_the_voting_check(self):
+        calls = []
+
+        def valuation(model, game):
+            calls.append((model, game))
+            return exact_valuation(model, game)
+
+        with pytest.raises(DomainError, match="monotone"):
+            voting_power(CoalitionModel(2, 1.0, 1.0), DenseTableGame(2, [0, 1, 0, 0]), valuation)
+        assert calls == []
+        model, game = CoalitionModel(5, 1.3, 0.8), KOutOfNGame(5, 3)
+        report = voting_power(model, game, valuation)
+        assert len(calls) == 1 and calls[0][0] is model and calls[0][1] is game
+        assert report.power.tobytes() == voting_power(model, game).power.tobytes()
 
 
 class TestInsurance:
@@ -212,7 +231,7 @@ class TestHighwayToll:
 
     @pytest.mark.parametrize(
         "g", [PowerCurve(2.0), LinearCurve(1.0), TableCurve([-5, 5], [0.0, 1.0])],
-        ids=lambda g: g.kind,
+        ids=lambda g: g.metadata()["type"],
     )
     def test_negative_volume_rejected(self, g):
         with pytest.raises(DomainError, match="non-negative"):

@@ -41,11 +41,6 @@ class TestModelAndSubset:
         assert s.mask == 0b10110
         assert s.size == 3
 
-    def test_with_without(self):
-        s = SubsetId.of(4, {1, 3})
-        assert s.with_player(2).members == frozenset({1, 2, 3})
-        assert s.without_player(3).members == frozenset({1})
-
 
 class TestSizePmf:
     def test_uniform_prior_gives_uniform_sizes(self):

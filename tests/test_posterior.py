@@ -69,10 +69,16 @@ class TestBasicStatistics:
         assert beta_variance(a, b) == a * b / ((a + b) * (a + b) * (a + b + 1.0))
 
     @pytest.mark.parametrize(
-        "a, b", [(1e-300, 1e-300), (1e-300, 3e-300), (5e-324, 1e-300), (1e200, 3e200)]
+        "a, b",
+        [(1e-300, 1e-300), (1e-300, 3e-300), (5e-324, 1e-300), (1e200, 3e200),
+         (1e-250, 1e-100), (1e-200, 1e-130), (1.7e-160, 1.3e-160)],
     )
     def test_variance_where_the_denominator_leaves_the_float_range(self, a, b):
-        # (a + b)^2 (a + b + 1) underflows to 0 or overflows to inf here.
+        # (a + b)^2 (a + b + 1) underflows to 0 or overflows to inf at the
+        # first four.  At the last three it is a float above 0, but ab falls
+        # below 2^-1022 and loses its digits: ab / den in one division gives
+        # 0.0 at (1e-250, 1e-100) and 0.2455533 (true 0.2455556) at
+        # (1.7e-160, 1.3e-160).
         with mpmath.workdps(40):
             ma, mb = mpmath.mpf(a), mpmath.mpf(b)
             ref = float(ma * mb / ((ma + mb) ** 2 * (ma + mb + 1)))

@@ -259,7 +259,7 @@ def test_flip_matches_fresh_evaluation(name):
     members = np.vstack(
         [np.zeros((1, n), bool), np.ones((1, n), bool), rng.random((300, n)) < rng.random((300, 1))]
     )
-    got = game.flipped_values(members)
+    got = game._phi(game._flip_stats(game._weight_sums(members), members))
     assert got.shape == (len(members), n)
     assert got.tobytes() == _fresh_flips(game, members).tobytes()
 
