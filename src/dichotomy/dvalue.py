@@ -11,7 +11,8 @@ enumeration is out of reach.  ``_exact`` alone picks a game's exact path
 valuation, the by-size totals of the closed forms, or both from one pass.
 Monte Carlo on a table game that draws at least 2^n samples draws how often
 each coalition comes up, as one multinomial over P(S = T), and weighs each
-(T, T + i) pair once by those counts, as ``_exact`` weighs it by P(S = T).
+(T, T + i) pair once by those counts; ``_exact``, whose P(S = T) depends on
+|T| alone, sums the pairs by |T| and weighs each size once.
 An additive game, whose marginals are its player values, counts how often
 each player is drawn inside; every other game flips its sampled rows.
 """
@@ -30,7 +31,6 @@ from .production import (
     Game,
     _COUNT_MAX_N,
     _mask_weights,
-    _popcounts,
     _voting_counts,
     uniformly_outperforms,
 )
@@ -57,10 +57,13 @@ _MAX_SAMPLES = 1 << 53
 # reach 2**_MC_MAX_EXP is scaled by a power of two, which is exact, so that
 # |marginal| < 2**401 and the sums of squares stay finite up to 2**220 samples.
 _MC_MAX_EXP = 400
-# Pairs per block of the pair walk.  A block's slices of the table, the
-# weights and the counts stay in L2 while every player runs over them.  A
-# power of two of at least 128, so that the block sums fold to the bits of
-# numpy's pairwise sum, which splits a contiguous array down to 128 entries.
+# Pairs per block of the pair walk.  A block's slices of the table and the
+# counts stay in L2 while every player runs over them.  A power of two of at
+# least 128, so that the block sums fold to the bits of numpy's pairwise sum,
+# which splits a contiguous array down to 128 entries.  ``_size_sums`` takes
+# a block as (2^7, 2^7) entries times a (2^7, 8) one-hot: 2^17 multiply-adds,
+# below the 65,536 * 4 where OpenBLAS's dgemm starts its thread pool (a
+# whole-table product at n = 20 does, and adds about 3 MB of peak RSS).
 _PAIR_BLOCK = 1 << 14
 
 
@@ -167,20 +170,73 @@ def _fold(sums: list, n: int) -> np.ndarray:
     return sums[..., 0].copy()
 
 
+def _one_hot(bits: int) -> np.ndarray:
+    """(2^bits, bits + 1) floats: row j is 1 in column |j| and 0 elsewhere."""
+    return (np.bitwise_count(np.arange(1 << bits))[:, None] == np.arange(bits + 1)).astype(float)
+
+
+def _size_sums(blocks, rows: int, m: int) -> np.ndarray:
+    """Sums of ``rows`` vectors of 2^m entries by the popcount of the index:
+    entry [r, t] sums entry j of vector r over the j with |j| = t.
+
+    ``blocks`` yields (r, start, x), where x holds entries start onward of
+    vector r, in aligned blocks of 2^k = min(2^m, _PAIR_BLOCK) entries, and
+    may be a buffer that the next block overwrites.  With h = k // 2, x laid
+    as (2^(k-h), 2^h) times the one-hot of h bits sums each row by its low
+    bits, into an accumulator picked by |start|, which is |start + j| - |j|.
+    The one-hot of the k - h high bits is applied once at the end, and the
+    sizes |start| + |high| + |low| are gathered by a last one-hot.  Every
+    product is a sum of entries, so a sum of finite entries that overflows
+    reads inf or nan.
+    """
+    k = min(m, _PAIR_BLOCK.bit_length() - 1)
+    h = k // 2
+    low = _one_hot(h)
+    acc = np.zeros((rows, m - k + 1, 1 << (k - h), h + 1))
+    product = np.empty(acc.shape[2:])
+    for r, start, x in blocks:
+        np.matmul(x.reshape(-1, 1 << h), low, out=product)
+        acc[r, start.bit_count()] += product
+    parts = _one_hot(k - h).T @ acc  # [r, |start|, |high|, |low|]
+    sizes = np.add.outer(np.arange(m - k + 1)[:, None] + np.arange(k - h + 1), np.arange(h + 1))
+    return parts.reshape(rows, -1) @ (sizes.reshape(-1, 1) == np.arange(m + 1)).astype(float)
+
+
+def _table_sums(table: np.ndarray, n: int, players: bool):
+    """(steps, totals) of a 2^n table: steps[i, t] sums v(T + i) - v(T)
+    over the T of t members that avoid player i + 1 (None unless
+    ``players``), and totals[t] sums v(T) over the T of t members."""
+    steps = None
+    if players:
+
+        def step_blocks():
+            # The walk yields its blocks with every player in turn.
+            for k, (pairs, [(lo, hi)], [(step, laid), _]) in enumerate(_pair_walk(table)):
+                np.subtract(hi, lo, out=laid, order="C")
+                yield k % n, pairs.start, step
+
+        steps = _size_sums(step_blocks(), n, n - 1)
+    size = min(1 << n, _PAIR_BLOCK)
+    value_blocks = ((0, start, table[start : start + size]) for start in range(0, 1 << n, size))
+    return steps, _size_sums(value_blocks, 1, n)[0]
+
+
 def _exact(
     model: CoalitionModel, game: Game, players: bool = True, totals: bool = True
 ) -> tuple[Valuation | None, np.ndarray | None]:
     """The one place that picks a game's exact path: the size law for
     size-symmetric games, the prior mean for additive ones, counts for
-    integer voting weights, else enumeration of the 2^n table.  The table
-    pass walks the (T, T + i) pairs in cache-sized blocks with every player
-    per block, in the two block-long buffers that ``_pair_walk`` owns, and
-    ``_fold`` adds each player's block sums pairwise: the bits of one sum
-    over all its pairs.
+    integer voting weights, else enumeration of the 2^n table.  P(S = T) is
+    f(|T|), so the table pass needs sums by size alone (``_table_sums``):
+    each player's steps v(T + i) - v(T), one per pair, summed over the T of
+    each size, and v(T) summed over the T of each size.  The gain weighs the
+    steps of size t by f(t + 1), the loss by f(t), and the totals take f(t)
+    once per size.  The valuation's expected production is the sum of those
+    totals, the number ``expected_production`` returns.
 
     Returns the Valuation when ``players`` and, when ``totals``, P(S = T)
     times the sum of v(T) over the coalitions T of each size t (the last
-    entry is P(S = N) v(N)); the other is None and is not computed.
+    entry is P(S = N) v(N)); the other is None.
     """
     _check_model_game(model, game)
     n = game.n
@@ -225,25 +281,22 @@ def _exact(
                 f"integer voting weights are counted up to n = {_COUNT_MAX_N}"
             )
         table = game.dense_values()
-        weight = _mask_weights(_subset_weights(pmf))  # P(S = T)
+        unscale = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is met below
+            steps, sums = _table_sums(table, n, players)
+        if not (np.isfinite(sums).all() and (steps is None or np.isfinite(steps).all())):
+            # The values are finite, so a sum of them overflowed.  No sum of
+            # 2^n values below 2^1024 / 2^(n + 1) does, and a power of two
+            # scales them exactly.
+            unscale = math.ldexp(1.0, n + 1)
+            steps, sums = _table_sums(table / unscale, n, players)
+        # P(S = T) is f(|T|), so a step of T weighs f(|T| + 1) in the gain
+        # and f(|T|) in the loss.
+        f = _subset_weights(pmf)
         if players:
-            # P(S = T) = weight[c] and P(S = T + i) = weight[2^(n-1) + c] for
-            # pair c of every player (see _pair_walk).
-            half = 1 << (n - 1)
-            outside, inside = weight[:half], weight[half:]
-            sums = []
-            for pairs, [(lo, hi)], [(step, laid), (gained, _)] in _pair_walk(table):
-                # Each term is one weighted marginal, so nothing cancels.
-                np.subtract(hi, lo, out=laid, order="C")
-                np.multiply(inside[pairs], step, out=gained)
-                step *= outside[pairs]
-                sums.append((gained.sum(), step.sum()))
-            gain, loss = _fold(sums, n)
-        weight *= table
-        if players:
-            production = float(weight.sum())
-        if totals:
-            by_size = np.bincount(_popcounts(n), weights=weight, minlength=n + 1)
+            gain, loss = _scaled(steps @ f[1:], unscale), _scaled(steps @ f[:-1], unscale)
+        by_size = _scaled(f * sums, unscale)
+        production = float(by_size.sum())
     if not players:
         return None, by_size
     gain.setflags(write=False)
@@ -374,9 +427,10 @@ def _mc_table_sums(game: DenseTableGame, drawn: np.ndarray, scale: float) -> np.
     A row S = T + i adds the step v(T + i) - v(T) to the gain of player
     i + 1, and a row S = T adds it to the loss, so each pair (T, T + i) is
     weighed once, by the count of T + i and by the count of T, where
-    ``_exact`` weighs it by P(S = T + i) and P(S = T).  The pairs are walked
-    as there, block by block with every player per block in the walk's own
-    two buffers, and the block sums fold to the bits of one sum per player.
+    ``_exact`` weighs the step sums of each size by P(S = T + i) and
+    P(S = T).  The pairs are walked block by block with every player per
+    block in the walk's own two buffers, and the block sums fold to the bits
+    of one sum per player.
     """
     n = game.n
     acc = np.zeros(4 * n + 3)

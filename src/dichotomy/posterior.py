@@ -211,12 +211,15 @@ def _lower_semivariance_series(a: float, b: float) -> float:
         # A factor this small needs a < 2^-898, where mu^a nu^b and
         # Gamma(1 + a + b) / (Gamma(1 + a) Gamma(1 + b)) are 1 within 1500 a,
         # so the factor is a b / (a + b) to double precision.  It is formed
-        # scaled up, before it could round to a subnormal, and so are the
-        # products.
+        # scaled up, before it could round to a subnormal.
         shift = 600
         mode = math.ldexp(a, shift) * nu
-    lower = mode * (mu + nu * tail) / total / (total + 1.0)
-    return math.ldexp(lower, -shift)
+    # The product of the factors may leave the float range where the result
+    # does not, as at (1e-250, 1e-100), where it is 1e-400 and the result
+    # 1e-300: the factors' exponents are taken out, and the result is scaled
+    # once, by its own size.  Powers of two move no bit of a normal result.
+    (m, e), (s, f), (d, g) = map(math.frexp, (mode, mu + nu * tail, total))
+    return math.ldexp(m * s / d / (total + 1.0), e + f - g - shift)
 
 
 # Beyond this smaller shape (markets of about 1e11 and more) the series

@@ -193,8 +193,8 @@ def _reaches(weights: list[int], lo: int, hi: int) -> bool:
 
 
 def _popcounts(n: int) -> np.ndarray:
-    """|T| for every bitmask T of n bits, as intp: the index type of
-    ``np.bincount``, which would otherwise convert a copy on each call."""
+    """|T| for every bitmask T of n bits, as intp: numpy's index type, so
+    indexing by it converts no copy."""
     return _subset_sums(np.ones(n, np.intp))
 
 

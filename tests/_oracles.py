@@ -284,10 +284,11 @@ def scalar_sweep(n, delta, omegas, taus) -> str:
 
 # --- enumeration through the (2^n, n) membership matrix -----------------------
 #
-# The table build and the exact valuation as the library did them before it
-# built tables by doubling: a bit matrix through ``values_for_memberships``,
-# and one boolean mask per player.  The size weights come from the library,
-# so results must agree byte for byte.
+# The table build as the library did it before it built tables by doubling:
+# a bit matrix through ``values_for_memberships``.  The exact valuation of a
+# table sums its steps and values by size on Python ints, one boolean mask
+# per player, and takes the library's own floats as P(S = T), so only the
+# library's sums round.
 
 def bit_matrix_values(game) -> np.ndarray:
     """v over all 2^n bitmasks from the (2^n, n) membership matrix."""
@@ -304,26 +305,58 @@ def _library_weights(model) -> np.ndarray:
     return _subset_weights(_size_pmf_vector(model))
 
 
-def masked_exact_dense(model, table):
-    """(gain, loss, expected production) summed over per-player masks."""
-    n = model.n
-    masks = np.arange(1 << n, dtype=np.int64)
-    weight = _library_weights(model)[np.bitwise_count(masks)]
-    gain = np.empty(n)
-    loss = np.empty(n)
+_ULP = 1 << 1074  # every float is an integer multiple of 2^-1074
+
+
+def sums_by_size(table):
+    """Exact sums by coalition size of a 2^n table, as Fraction lists:
+    (steps, step_magnitudes, values, value_magnitudes).  steps[i][t] sums
+    v(T + i) - v(T) over the T of t players avoiding player i + 1, values[t]
+    sums v(T) over the T of t players, and the magnitudes sum the absolute
+    values of the same terms.  The sums run on Python ints in units of
+    2^-1074, so nothing rounds."""
+    n = len(table).bit_length() - 1
+    ints = np.array(
+        [a * (_ULP // b) for a, b in map(float.as_integer_ratio, np.asarray(table).tolist())],
+        dtype=object,
+    )
+    masks = np.arange(1 << n)
+    sizes = np.bitwise_count(masks)
+
+    def by_size(x, s, count):
+        return [Fraction(int(x[s == t].sum()), _ULP) for t in range(count)]
+
+    steps, step_magnitudes = [], []
     for i in range(n):
-        outside = masks[(masks >> i) & 1 == 0]
-        step = table[outside | (1 << i)] - table[outside]
-        gain[i] = (weight[outside | (1 << i)] * step).sum()
-        loss[i] = (weight[outside] * step).sum()
-    return gain, loss, float((weight * table).sum())
+        out = masks[masks >> i & 1 == 0]
+        step = ints[out | 1 << i] - ints[out]
+        steps.append(by_size(step, sizes[out], n))
+        step_magnitudes.append(by_size(np.abs(step), sizes[out], n))
+    return steps, step_magnitudes, by_size(ints, sizes, n + 1), by_size(np.abs(ints), sizes, n + 1)
 
 
-def masked_size_totals(model, table) -> np.ndarray:
-    """Sum of P(S = T) v(T) over the coalitions of each size."""
-    sizes = np.bitwise_count(np.arange(len(table), dtype=np.int64))
-    w = _library_weights(model)
-    return np.bincount(sizes, weights=w[sizes] * table, minlength=model.n + 1)
+def exact_table_valuation(model, sums):
+    """(gain, loss, by-size totals, expected production) of a table from its
+    ``sums_by_size``, each as (value, scale) float arrays.  A value is the
+    exact sum, with the library's floats as P(S = T), rounded once: gain_i
+    weighs the steps of size t by f(t + 1), loss_i by f(t), and the totals
+    take f(t).  Its scale is the same sum over the absolute terms, the size
+    of the rounding of a float sum of them."""
+    f = [Fraction(float(x)) for x in _library_weights(model)]
+    steps, step_magnitudes, values, value_magnitudes = sums
+
+    def rounded(rows, weights):
+        return np.array([float(sum(w * x for w, x in zip(weights, row))) for row in rows])
+
+    def per_size(row):
+        return np.array([float(w * x) for w, x in zip(f, row)])
+
+    return (
+        (rounded(steps, f[1:]), rounded(step_magnitudes, f[1:])),
+        (rounded(steps, f[:-1]), rounded(step_magnitudes, f[:-1])),
+        (per_size(values), per_size(value_magnitudes)),
+        (rounded([values], f)[0], rounded([value_magnitudes], f)[0]),
+    )
 
 
 def masked_outperforms(table, n, i, j, op) -> bool:
@@ -476,17 +509,19 @@ def unblocked_mc_table_sums(game, drawn, scale) -> np.ndarray:
 def shapley_by_permutations(n, v) -> list[float]:
     """The Shapley value of v: mask -> value, as each player's marginal on
     joining the players before it, averaged over all n! orders in exact
-    rationals (n <= 7, 5,040 orders)."""
-    if n > 7:
-        raise ValueError(f"{math.factorial(n)} orders are too many; n <= 7")
-    value = [Fraction(float(v(mask))) for mask in range(1 << n)]
-    total = [Fraction(0)] * n
+    rationals (n <= 8, 40,320 orders).  The marginals add up on Python ints
+    in units of 2^-1074."""
+    if n > 8:
+        raise ValueError(f"{math.factorial(n)} orders are too many; n <= 8")
+    ratios = (float(v(mask)).as_integer_ratio() for mask in range(1 << n))
+    value = [a * (_ULP // b) for a, b in ratios]
+    total = [0] * n
     for order in itertools.permutations(range(n)):
         mask = 0
         for i in order:
             total[i] += value[mask | 1 << i] - value[mask]
             mask |= 1 << i
-    return [float(x / math.factorial(n)) for x in total]
+    return [float(Fraction(x, _ULP * math.factorial(n))) for x in total]
 
 
 # --- the Beta semivalue ---------------------------------------------------------
@@ -497,29 +532,11 @@ def shapley_by_permutations(n, v) -> list[float]:
 # (theta + rho + n - 1) of each term and loss_i the rest.  theta + t is
 # formed in mpmath: a float 500000 + 0.05 already moves the weights.
 
-def marginals_by_size(n, v):
-    """(sums, magnitudes): for each player i and size t, the sum and the sum
-    of |v(T + i) - v(T)| over the T of t players avoiding i, on Fraction,
-    by enumeration (n <= 12)."""
-    if n > 12:
-        raise ValueError(f"{1 << n} coalitions are too many; n <= 12")
-    value = [Fraction(float(v(mask))) for mask in range(1 << n)]
-    sums = [[Fraction(0)] * n for _ in range(n)]
-    magnitudes = [[Fraction(0)] * n for _ in range(n)]
-    for mask in range(1 << n):
-        t = mask_size(mask)
-        for i in range(n):
-            if not mask >> i & 1:
-                step = value[mask | 1 << i] - value[mask]
-                sums[i][t] += step
-                magnitudes[i][t] += abs(step)
-    return sums, magnitudes
-
-
 def mp_beta_semivalue(by_size, theta, rho, dps=40):
     """Per player, gain_i and loss_i as the two shares of the Beta semivalue,
     and the same sums over |v(T + i) - v(T)| (the scale of a float sum's
-    rounding), from ``marginals_by_size``, as ``mpmath.mpf`` lists."""
+    rounding), from the steps and step magnitudes of ``sums_by_size``, as
+    ``mpmath.mpf`` lists."""
     sums, magnitudes = by_size
     n = len(sums)
     with mpmath.workdps(dps):

@@ -1,11 +1,19 @@
 """Enumeration by doubling and block views against the bit-matrix oracles.
 
-Tables, valuations and pair checks must match the (2^n, n) membership matrix
-and per-player masks byte for byte, and stay within a few tables of memory.
+Tables and pair checks must match the (2^n, n) membership matrix and
+per-player masks byte for byte.  Valuations and by-size totals must sit
+within a few rounding errors of exact sums over per-player masks, give the
+same bytes under any OpenBLAS thread count, and stay within a few tables of
+memory.
 """
 
+import functools
 import json
 import operator
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,12 +43,12 @@ from dichotomy.production import (
 
 from _oracles import (
     bit_matrix_values,
-    masked_exact_dense,
+    exact_table_valuation,
     masked_is_monotone,
     masked_outperforms,
-    masked_size_totals,
     peak_tables,
     signed_table,
+    sums_by_size,
 )
 
 
@@ -116,30 +124,49 @@ def _mask_cases():
             yield pytest.param(name, n, shape, id=f"{name}-{n}{tag}")
 
 
+# The library rounds sums of at most 2^n terms: each value must sit within
+# this share of the same sum over the absolute terms (the measured worst in
+# these tests is 4.4e-16, about 2 eps).
+_ROUNDING = 8 * np.finfo(float).eps
+
+
+def _assert_near_exact(model, val, by_size, sums):
+    """Gain, loss, by-size totals and the expected production against the
+    exact sums of ``exact_table_valuation``; the aggregates and production
+    are the float sums of the vectors themselves."""
+    for got, (want, scale) in zip(
+        (val.gain, val.loss, by_size, val.expected_production),
+        exact_table_valuation(model, sums),
+    ):
+        assert np.all(np.abs(got - want) <= _ROUNDING * scale)
+    assert val.aggregate_gain == float(val.gain.sum())
+    assert val.aggregate_loss == float(val.loss.sum())
+    assert val.expected_production == float(by_size.sum())
+
+
+@functools.cache
+def _mask_sums(name, n):
+    return sums_by_size(bit_matrix_values(_game(name, n)))
+
+
 @pytest.mark.parametrize("name, n, shape", _mask_cases())
 def test_enumerated_valuation_matches_per_player_masks(name, n, shape):
-    # From n = 16 on, a sum over a strided view of the masks holding a player
-    # adds in another order than over those masks gathered in mask order.
+    # At n = 16 and 17 the walk takes two and four blocks of _PAIR_BLOCK
+    # pairs, and the totals four and eight blocks of the table.
     game = _game(name, n)
-    # Integer voting games are counted; the counts agree with the masks bit
-    # for bit at (2.5, 1.5), but not at every shape, so elsewhere their
-    # table is enumerated.
-    counted = shape != (2.5, 1.5) and production._voting_counts(game) is not None
-    if game.size_only or isinstance(game, AdditiveGame) or counted:
-        game = DenseTableGame(n, game.dense_values())  # force enumeration
     model = CoalitionModel(n, *shape)
-    val = exact_valuation(model, game)
-    table = bit_matrix_values(game)
-    gain, loss, production_ = masked_exact_dense(model, table)
-    assert val.gain.tobytes() == gain.tobytes()
-    assert val.loss.tobytes() == loss.tobytes()
-    assert val.aggregate_gain == float(gain.sum())
-    assert val.aggregate_loss == float(loss.sum())
-    assert val.expected_production == production_
-    totals = masked_size_totals(model, table)
-    assert expected_production(model, game) == float(totals.sum())
-    by_masks = dvalue._exact(model, DenseTableGame(n, table), players=False)[1]
-    assert by_masks.tobytes() == totals.tobytes()
+    table = DenseTableGame(n, game.dense_values())  # forces enumeration
+    if production._voting_counts(game) is not None:
+        games = [table, game]  # integer voting games are counted as well
+    elif game.size_only or isinstance(game, AdditiveGame):
+        games = [table]
+    else:
+        games = [game]
+    for g in games:
+        val = exact_valuation(model, g)
+        by_size = dvalue._exact(model, g, players=False)[1]
+        _assert_near_exact(model, val, by_size, _mask_sums(name, n))
+        assert expected_production(model, g) == val.expected_production
 
 
 @pytest.mark.parametrize("n", [1, 7, 12])
@@ -267,21 +294,42 @@ def test_voting_certificate_matches_masks():
     assert seen == {True, False}
 
 
+def _walk_game(signed, n):
+    return signed_table(n) if signed else random_monotone_game(n, np.random.default_rng(n))
+
+
+@functools.cache
+def _walk_sums(signed, n):
+    return sums_by_size(_walk_game(signed, n).table)
+
+
 @pytest.mark.parametrize("shape", [(2.5, 1.5), (1.0, 1e6), (1e6, 1.0), (0.05, 0.05)])
 @pytest.mark.parametrize("n", range(8, 13))
 @pytest.mark.parametrize("signed", [True, False], ids=["signed", "monotone"])
 def test_pair_walk_blocks_match_per_player_masks(signed, n, shape, monkeypatch):
     # Blocks of 128 pairs: one at n = 8, sixteen at n = 12, every player per
-    # block.  The block sums fold pairwise, as numpy adds the aligned chunks
-    # of one sum over all of a player's pairs.
+    # block; the table's totals take two to thirty-two blocks of 128.
     monkeypatch.setattr(dvalue, "_PAIR_BLOCK", 128)
-    game = signed_table(n) if signed else random_monotone_game(n, np.random.default_rng(n))
     model = CoalitionModel(n, *shape)
-    val = exact_valuation(model, game)
-    gain, loss, production_ = masked_exact_dense(model, game.table)
-    assert val.gain.tobytes() == gain.tobytes()
-    assert val.loss.tobytes() == loss.tobytes()
-    assert val.expected_production == production_
+    val, by_size = dvalue._exact(model, _walk_game(signed, n))
+    _assert_near_exact(model, val, by_size, _walk_sums(signed, n))
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_table_sums_that_overflow_are_scaled_exactly(n):
+    # Values up to 2^1022: their sums by size overflow, though no value and
+    # no result does, so the table is summed again scaled by a power of two,
+    # and every result is the small table's times 2^1022.
+    big = 2.0**1022
+    small = random_dense_game(n, np.random.default_rng(n))
+    huge = DenseTableGame(n, small.table * big)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not all(np.isfinite(x).all() for x in dvalue._table_sums(huge.table, n, True))
+    model = CoalitionModel(n, 2.0, 3.0)
+    (want, want_totals), (got, got_totals) = (dvalue._exact(model, g) for g in (small, huge))
+    for a, b in ((want.gain, got.gain), (want.loss, got.loss), (want_totals, got_totals)):
+        assert (a * big).tobytes() == b.tobytes()
+    assert got.expected_production == want.expected_production * big
 
 
 @pytest.mark.parametrize("block", [128, dvalue._PAIR_BLOCK])
@@ -295,6 +343,42 @@ def test_sums_of_negative_zeros_print_zero(block, monkeypatch):
     for val in (exact_valuation(model, game), mc_valuation(model, game, 1 << n, 3)):
         assert not np.signbit(val.gain).any() and not np.signbit(val.loss).any()
         assert "-0" not in json.dumps(val.to_json_dict())
+
+
+# A stored table's valuation, its by-size totals and both closed forms, as
+# one digest of their bytes.
+_TABLE_DIGEST = """
+import hashlib
+import numpy as np
+from dichotomy import dvalue
+from dichotomy.coalition import CoalitionModel
+from dichotomy.production import random_dense_game
+
+n = 18
+game = random_dense_game(n, np.random.default_rng(5))
+model = CoalitionModel(n, 2.0, 3.0)
+val, by_size = dvalue._exact(model, game)
+gain_closed = dvalue.aggregate_gain_closed_form(model, game)
+loss_closed = dvalue.aggregate_loss_closed_form(model, game)
+scalars = np.array([val.expected_production, gain_closed, loss_closed])
+parts = [val.gain, val.loss, by_size, scalars]
+print(hashlib.sha256(b"".join(x.tobytes() for x in parts)).hexdigest())
+"""
+
+
+def test_table_sums_keep_their_bytes_under_any_openblas_thread_count():
+    # The by-size sums are BLAS products, each small enough that OpenBLAS
+    # runs it on the calling thread: a pool of two threads moves no bit.
+    src = str(Path(dvalue.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", _TABLE_DIGEST],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        digests.add(proc.stdout)
+    assert len(digests) == 1
 
 
 def test_voting_certificate_across_blocks(tmp_path, monkeypatch, capsys):
@@ -354,9 +438,27 @@ class TestMemory:
         assert peak_tables(lambda: fn(model, game), self.n) <= 3
 
     def test_pair_walk_holds_block_buffers(self):
-        # Beside the stored table, the valuation holds the mask weights (one
-        # table) and two work buffers of _PAIR_BLOCK floats, an eighth of a
-        # table at n = 18, not two half tables.
+        # Beside the stored table, the valuation holds two work buffers of
+        # _PAIR_BLOCK floats, an eighth of a table at n = 18, and its
+        # per-player step sums by size, not two half tables.
         model = CoalitionModel(self.n, 2.0, 3.0)
         game = random_dense_game(self.n, np.random.default_rng(5))
         assert peak_tables(lambda: exact_valuation(model, game), self.n) < 1.3
+
+
+@pytest.mark.parametrize(
+    "fn, bound",
+    [
+        (exact_valuation, 0.25),
+        (aggregate_gain_closed_form, 0.05),
+        (aggregate_loss_closed_form, 0.05),
+    ],
+)
+def test_table_passes_build_no_table_sized_array(fn, bound):
+    # Beside a stored table at n = 20, the valuation holds the walk's two
+    # block buffers and its per-player step sums by size, and the closed
+    # forms only their per-block sums: no weight or popcount per coalition.
+    n = 20
+    model = CoalitionModel(n, 2.0, 3.0)
+    game = random_dense_game(n, np.random.default_rng(5))
+    assert peak_tables(lambda: fn(model, game), n) < bound

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -51,6 +52,20 @@ SEMIVARIANCE_SHAPES = [
     for params in [(0.9, 0.1, 0.5), (0.5556274555107865, 0.040982460171519484, 0.7194898391631132)]
     for k in range(3, 9)
 ]
+
+
+def _lopsided_tiny_shapes():
+    rng = np.random.default_rng(61)
+    shapes = [(1e-250, 1e-100)]
+    for low, high in ((-1022, -900), (-900, -600)):
+        for k in range(4):
+            small = 2.0 ** rng.uniform(low, high)
+            big = small * 10.0 ** rng.uniform(0, 300)
+            shapes.append((small, big) if k % 2 else (big, small))
+    return shapes
+
+
+_LOPSIDED_TINY_SHAPES = _lopsided_tiny_shapes()
 
 
 class TestBasicStatistics:
@@ -236,6 +251,20 @@ class TestSemivariances:
         ref_lo, ref_up = mp_semivariances(a, b)
         assert abs(lo / ref_lo - 1) <= 1e-15
         assert abs(up / ref_up - 1) <= 1e-15
+
+    # The smaller shape below 2^-900 (its factor scaled by 2^600) and above
+    # it, the other up to 1e300 times larger, in both orders.  The lower side
+    # is near a^2 / b: the product of its factors may leave the float range
+    # where the result does not, 1e-400 against 1e-300 at (1e-250, 1e-100).
+    # Within the 5e-14 of the lgamma-based Stirling remainder at tiny x where
+    # the result is a normal float, within one step where it is subnormal.
+    @pytest.mark.parametrize("a, b", _LOPSIDED_TINY_SHAPES)
+    def test_products_scaled_by_the_size_of_the_result(self, a, b):
+        lo, up = semivariances(a, b)
+        for got, ref in zip((lo, up), mp_semivariances(a, b)):
+            ref = float(ref)
+            bound = 1e-13 * ref if ref >= sys.float_info.min else math.ulp(0.0)
+            assert abs(got - ref) <= bound
 
     @pytest.mark.parametrize("a, b", [(math.inf, 2.0), (2.0, math.inf)])
     def test_infinite_shape_gives_nan(self, a, b):

@@ -32,10 +32,10 @@ from dichotomy.production import (
 )
 
 from _oracles import (
-    marginals_by_size,
     mp_beta_semivalue,
     mp_size_semivalue,
     shapley_by_permutations,
+    sums_by_size,
 )
 
 _VOTING = WeightedVotingGame([4, 3, 3, 2, 1, 1, 5], 10)
@@ -43,6 +43,8 @@ _VOTING = WeightedVotingGame([4, 3, 3, 2, 1, 1, 5], 10)
 GAMES = {
     "random-table": random_dense_game(6, np.random.default_rng(31)),
     "monotone-table": random_monotone_game(7, np.random.default_rng(32)),
+    "random-table-8": random_dense_game(8, np.random.default_rng(33)),
+    "monotone-table-8": random_monotone_game(8, np.random.default_rng(34)),
     "voting-counted": _VOTING,
     "k-of-n": KOutOfNGame(7, 4),
 }
@@ -88,9 +90,7 @@ SEMIVALUE_GAMES = {
 
 @functools.cache
 def _marginals(name):
-    game = SEMIVALUE_GAMES[name]
-    table = game.dense_values()
-    return marginals_by_size(game.n, lambda mask: table[mask])
+    return sums_by_size(SEMIVALUE_GAMES[name].dense_values())[:2]
 
 
 def test_the_voting_games_take_the_count_and_the_table_path():
