@@ -12,6 +12,8 @@ inside the handlers that need arrays: ``dvalue``, ``sweep``, ``apps voting``,
 ``apps insurance`` and ``parse_game_spec``.  ``tax-rate``, ``series``,
 ``verify`` (but for ``--theorem 4``, whose semivariance series sums numpy
 blocks) and ``apps toll`` on a power or linear curve run without numpy.
+``apps`` and ``posterior`` load in the handlers that use them too, so
+``tax-rate``, ``series`` and ``sweep`` load neither.
 
 Handlers raise; ``main`` is the one place that turns an exception into a
 one-line ``error: <message>`` on stderr and an exit code, through
@@ -45,17 +47,7 @@ from fractions import Fraction
 from functools import partial
 from typing import TYPE_CHECKING
 
-from .apps import (
-    LinearCurve,
-    PowerCurve,
-    TollScenario,
-    highway_toll,
-    insurance_premium,
-    load_toll_scenario,
-    voting_power,
-)
 from .errors import CapacityError, DataError, DomainError, RangeError, SingularSystemError
-from .posterior import LIMIT_CHECKS
 from .serialize import csv_line, csv_lines, json_dumps
 from .taxpolicy import (
     asymptotic_tax_rule,
@@ -83,6 +75,9 @@ _EXIT_CODES = (
     (MemoryError, EXIT_CAPACITY),
     (DomainError, EXIT_USAGE),
 )
+
+# The keys of posterior.LIMIT_CHECKS, which loads only when verify runs.
+_THEOREMS = (2, 3, 4, 5, 6)
 
 _SWEEP_HEADER = (
     "omega,tau,delta,n,theta,rho,d,valid,residual_benefits,residual_welfare,singular"
@@ -328,12 +323,15 @@ def _cmd_verify(args) -> int:
             float(n)  # the solver works in floats; a larger int overflows
     except (ValueError, OverflowError) as exc:
         raise DomainError(f"bad --n-list: {exc}") from exc
+    from .posterior import LIMIT_CHECKS
+
     report = LIMIT_CHECKS[args.theorem](args.omega, args.delta, args.tau, n_list)
     _write_out(report.to_csv(), args.out)
     for key, value in report.details.items():
         print(f"# {key} = {value}", file=sys.stderr)
     if not report.passed:
-        worst = max(report.rows, key=lambda r: r.abs_error)
+        # A nan error is the worst: max alone would rank it below any number.
+        worst = max(report.rows, key=lambda r: (math.isnan(r.abs_error), r.abs_error))
         print(
             f"verification failed ({report.kind}); worst row: n={worst.n:g} "
             f"target={worst.target} abs_error={worst.abs_error}",
@@ -344,6 +342,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_voting(args) -> int:
+    from .apps import voting_power
     from .coalition import CoalitionModel
 
     game = parse_game_spec(args.game)
@@ -362,6 +361,7 @@ def _cmd_voting(args) -> int:
 
 
 def _cmd_insurance(args) -> int:
+    from .apps import insurance_premium
     from .coalition import CoalitionModel
 
     game = parse_game_spec(args.game)
@@ -379,6 +379,8 @@ def _cmd_insurance(args) -> int:
 
 
 def _cmd_toll(args) -> int:
+    from .apps import TollScenario, highway_toll, load_toll_scenario
+
     if args.scenario:
         scenario = load_toll_scenario(args.scenario)
     elif args.g is None or args.n is None or args.omega is None:
@@ -400,6 +402,8 @@ def _cmd_toll(args) -> int:
 
 
 def _parse_curve(spec: str):
+    from .apps import LinearCurve, PowerCurve
+
     head, _, rest = spec.partition(":")
     try:
         if head == "power":
@@ -464,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=41, help="grid points per axis")
 
     p = leaf(sub, "verify", _cmd_verify, help="run a numbered limit check (2-6)")
-    p.add_argument("--theorem", type=int, choices=sorted(LIMIT_CHECKS), required=True)
+    p.add_argument("--theorem", type=int, choices=_THEOREMS, required=True)
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--tau", type=float, required=True)

@@ -10,11 +10,13 @@ enumeration is out of reach.  ``_exact`` alone picks a game's exact path
 (size law, additive, integer-vote counts or the 2^n table) and serves the
 valuation, the by-size totals of the closed forms, or both from one pass.
 Monte Carlo on a table game that draws at least 2^n samples draws how often
-each coalition comes up, as one multinomial over P(S = T), and weighs each
-(T, T + i) pair once by those counts; ``_exact``, whose P(S = T) depends on
-|T| alone, sums the pairs by |T| and weighs each size once.
-An additive game, whose marginals are its player values, counts how often
-each player is drawn inside; every other game flips its sampled rows.
+each coalition comes up, a multinomial over P(S = T) drawn as sizes then
+uniform ranks within each size, and weighs each (T, T + i) pair once by
+those counts; ``_exact``, whose P(S = T) depends on |T| alone, sums the
+pairs by |T| and weighs each size once.  Every other game samples rows,
+whose membership cells come from raw random bytes (``sample_memberships``):
+an additive game, whose marginals are its player values, counts how often
+each player is drawn inside, and the rest flip their rows.
 """
 
 import math
@@ -30,7 +32,7 @@ from .production import (
     ENUMERATION_CAP,
     Game,
     _COUNT_MAX_N,
-    _mask_weights,
+    _subset_sums,
     _voting_counts,
     uniformly_outperforms,
 )
@@ -65,6 +67,12 @@ _MC_MAX_EXP = 400
 # below the 65,536 * 4 where OpenBLAS's dgemm starts its thread pool (a
 # whole-table product at n = 20 does, and adds about 3 MB of peak RSS).
 _PAIR_BLOCK = 1 << 14
+# Draws per coalition up to which a size's count is spread by uniform ranks
+# rather than one multinomial call, which makes a binomial draw per
+# coalition.  Ranks are the faster up to 16 to 28 draws per coalition at
+# C(n, t) = 1,820 to 184,756; at 8 their int64 array holds at most
+# 8 C(n, t), 1.6 tables of 2^n floats at n = 16 and less at larger n.
+_RANK_DRAWS = 8
 
 
 @dataclass(frozen=True)
@@ -231,8 +239,9 @@ def _exact(
     each player's steps v(T + i) - v(T), one per pair, summed over the T of
     each size, and v(T) summed over the T of each size.  The gain weighs the
     steps of size t by f(t + 1), the loss by f(t), and the totals take f(t)
-    once per size.  The valuation's expected production is the sum of those
-    totals, the number ``expected_production`` returns.
+    once per size.  The valuation's expected production is the number
+    ``expected_production`` returns: the sum of those totals, or for an
+    additive game ``_additive_production``, which needs no size law.
 
     Returns the Valuation when ``players`` and, when ``totals``, P(S = T)
     times the sum of v(T) over the coalitions T of each size t (the last
@@ -261,7 +270,7 @@ def _exact(
             gain = game.player_values * model.prior_mean
             # rho / (theta + rho), not 1 - prior_mean, which cancels when rho << theta.
             loss = game.player_values * (model.rho / (model.theta + model.rho))
-            production = float(gain.sum())
+            production = _additive_production(model, game)
         if totals:
             # Each player sits in C(n-1, t-1) of the C(n, t) coalitions of size t.
             by_size = pmf * (np.arange(n + 1) / n) * float(game.player_values.sum())
@@ -311,8 +320,17 @@ def _exact(
     ), by_size if totals else None
 
 
+def _additive_production(model: CoalitionModel, game: AdditiveGame) -> float:
+    """theta / (theta + rho) times the correctly rounded sum of the values:
+    each player is inside with the prior mean, so no size law is needed."""
+    return model.prior_mean * math.fsum(game.player_values)
+
+
 def expected_production(model: CoalitionModel, game: Game) -> float:
-    """Mean of v(S) under the coalition model."""
+    """Mean of v(S) under the coalition model, the valuation's own number."""
+    if isinstance(game, AdditiveGame):
+        _check_model_game(model, game)
+        return _additive_production(model, game)
     return float(_exact(model, game, players=False)[1].sum())
 
 
@@ -456,6 +474,30 @@ def _mc_table_sums(game: DenseTableGame, drawn: np.ndarray, scale: float) -> np.
     return acc
 
 
+def _draw_counts(model: CoalitionModel, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """How often each coalition comes up in ``samples`` draws of S, in mask
+    order: a Multinomial(samples, P(S = T)), drawn as sizes then ranks.
+
+    The counts of each size are Multinomial(samples, P(|S| = t)), and those
+    of size t spread over its C(n, t) equally likely coalitions as a uniform
+    multinomial, drawn by ``bincount`` of uniform ranks up to
+    ``_RANK_DRAWS`` per coalition, and by one multinomial call above.  Rank
+    r of size t is the r-th mask of t members in mask order.
+    """
+    n = model.n
+    drawn = np.zeros(1 << n, dtype=np.int64)
+    popcounts = _subset_sums(np.ones(n, np.uint8))
+    for t, c in enumerate(rng.multinomial(samples, _size_pmf_vector(model)).tolist()):
+        if c:
+            m = math.comb(n, t)
+            if c <= _RANK_DRAWS * m:
+                counts = np.bincount(rng.integers(0, m, c), minlength=m)
+            else:
+                counts = rng.multinomial(c, np.full(m, 1.0 / m))
+            drawn[popcounts == t] = counts
+    return drawn
+
+
 def _tree_reduce(parts: list[np.ndarray]) -> np.ndarray:
     while len(parts) > 1:
         merged = [parts[k] + parts[k + 1] for k in range(0, len(parts) - 1, 2)]
@@ -490,11 +532,13 @@ def mc_valuation(
     number 1 to 2^53 - 1, so that their counts are exact in floats.
 
     A table game drawn at least 2^n times (``1 << n <= samples``) draws no
-    rows: P(S = T) depends on |T| alone, so how often each coalition is drawn
-    is one Multinomial(samples, P(S = T)), drawn by the first spawned
-    generator, which is the same for every stream count.  One pass over the
-    table then weighs each (T, T + i) pair by those counts, so the result
-    depends on the seed alone.
+    rows: how often each coalition is drawn is one Multinomial(samples,
+    P(S = T)), drawn by the first spawned generator, which is the same for
+    every stream count.  P(S = T) depends on |T| alone, so the draw takes
+    the sizes first and then spreads each size's count over its coalitions
+    by uniform ranks (``_draw_counts``).  One pass over the table then
+    weighs each (T, T + i) pair by those counts, so the result depends on
+    the seed alone.
     """
     _check_model_game(model, game)
     if not 1 <= samples < _MAX_SAMPLES:
@@ -512,9 +556,7 @@ def mc_valuation(
     if isinstance(game, DenseTableGame) and 1 << n <= samples:
         # Independent multinomials over the same cells sum to one multinomial,
         # so one draw over P(S = T) stands for every stream.
-        drawn = spawn_streams(seed, 1)[0].multinomial(
-            samples, _mask_weights(_subset_weights(_size_pmf_vector(model)))
-        )
+        drawn = _draw_counts(model, spawn_streams(seed, 1)[0], samples)
         acc = _mc_table_sums(game, drawn, scale)
     else:
         rngs = spawn_streams(seed, streams)

@@ -456,6 +456,32 @@ class TestVerify:
             capsys,
         )
         assert code == 2
+        assert "invalid choice: 7 (choose from 2, 3, 4, 5, 6)" in err
+
+    def test_theorem_choices_are_the_limit_checks(self):
+        from dichotomy.posterior import LIMIT_CHECKS
+
+        assert cli._THEOREMS == tuple(sorted(LIMIT_CHECKS))
+
+    def test_a_nan_row_is_the_worst(self, capsys, monkeypatch):
+        # The n = 1e8 rung reads nan, as scipy's betainc route does past
+        # shapes of about 1e16, and n = 1000 has a number.
+        from dichotomy import posterior
+
+        real = posterior.semivariances
+        monkeypatch.setattr(
+            posterior, "semivariances",
+            lambda a, b: (math.nan, math.nan) if a > 1e6 else real(a, b),
+        )
+        code, out, err = run_cli(
+            ["verify", "--theorem", "4", "--omega", "0.9", "--delta", "0.1",
+             "--tau", "0.5", "--n-list", "1000,100000000"],
+            capsys,
+        )
+        assert code == 6
+        assert out.splitlines()[-1].endswith(",nan")
+        assert "worst row: n=1e+08 " in err
+        assert err.rstrip().endswith("abs_error=nan")
 
     def test_boundary_tau_rejected(self, capsys):
         code, _, err = run_cli(

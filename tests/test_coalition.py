@@ -142,6 +142,34 @@ class TestPosterior:
             posterior(CoalitionModel(5, 1.0, 1.0), 6)
 
 
+class _FixedRate:
+    """A generator whose Beta draws all equal p, with numpy's own raw bytes
+    and floats from the seed."""
+
+    def __init__(self, p: float, seed: int):
+        rng = np.random.default_rng(seed)
+        self.bit_generator, self.random, self.p = rng.bit_generator, rng.random, p
+
+    def beta(self, theta, rho, size):
+        return np.full(size, self.p)
+
+
+def _pooled_chi2(observed, expected, least=5.0):
+    """Chi-square statistic over runs of neighbouring bins pooled until each
+    expects at least ``least`` (a short last run joins the one before), and
+    the number of pooled bins."""
+    groups, run_o, run_e = [], 0, 0.0
+    for o, e in zip(observed.tolist(), expected.tolist()):
+        run_o, run_e = run_o + o, run_e + e
+        if run_e >= least:
+            groups.append([run_o, run_e])
+            run_o, run_e = 0, 0.0
+    if groups:
+        groups[-1][0] += run_o
+        groups[-1][1] += run_e
+    return sum((o - e) ** 2 / e for o, e in groups), len(groups)
+
+
 class TestSampling:
     def test_single_draw_matches_marginal_law(self):
         model = CoalitionModel(2, 1.0, 1.0)
@@ -193,6 +221,44 @@ class TestSampling:
         ) * draws
         stat = ((observed - expected) ** 2 / expected).sum()
         assert stat < stats.chi2.ppf(0.9999, df=15)
+
+    @pytest.mark.parametrize("theta, rho", [(1.0, 1e6), (1e6, 1.0), (0.05, 0.05)])
+    def test_lopsided_shapes_admit_through_ties(self, theta, rho):
+        # Almost every row's p lies below 2^-8 or above 1 - 2^-8 (three rows
+        # in four at (0.05, 0.05)), so its byte threshold k is 0 or 255 and
+        # its members or outsiders come from ties: at (1, 1e6) about 67 of
+        # the 2^26 cells, where admitting every tie would give 262,144.
+        n, rows, chunks = 64, 1024, 1024
+        model = CoalitionModel(n, theta, rho)
+        rng = np.random.default_rng(29)
+        observed = np.zeros(n + 1, dtype=np.int64)
+        for _ in range(chunks):
+            sizes = sample_memberships(model, rng, rows).sum(axis=1)
+            observed += np.bincount(sizes, minlength=n + 1)
+        expected = np.array([size_pmf(model, s) for s in range(n + 1)]) * rows * chunks
+        stat, groups = _pooled_chi2(observed, expected)
+        assert groups >= 2
+        assert stat < stats.chi2.ppf(0.9999, df=groups - 1)
+
+    def test_rates_on_the_byte_grid_are_exact(self):
+        # p = 0 admits no one and p = 1 everyone.  p = k / 256 leaves no
+        # remainder, so a tie never admits and the rows are exactly the bytes
+        # below k; at p = (k + 1/2) / 256 half of the ties admit.
+        n, count = 50, 4000
+        model = CoalitionModel(n, 2.0, 3.0)
+        assert not sample_memberships(model, _FixedRate(0.0, 1), count).any()
+        assert sample_memberships(model, _FixedRate(1.0, 1), count).all()
+        raw = np.random.default_rng(2).bit_generator.random_raw(count * n // 8)
+        draws = raw.view(np.uint8).reshape(count, n)
+        for k in (1, 77, 255):
+            assert np.array_equal(
+                sample_memberships(model, _FixedRate(k / 256, 2), count), draws < k
+            )
+            half = sample_memberships(model, _FixedRate((k + 0.5) / 256, 2), count)
+            tie = draws == k
+            assert np.array_equal(half & ~tie, draws < k)
+            ties, admitted = int(tie.sum()), int(half[tie].sum())
+            assert abs(admitted - ties / 2) <= 5 * math.sqrt(ties / 4)
 
     def test_spawned_streams_are_reproducible_and_distinct(self):
         a1, b1 = spawn_streams(42, 2)

@@ -218,7 +218,15 @@ def test_selector_serves_each_request_with_the_same_bits(name, shape):
         expected = _hex(closed_form(model, game))
         for t in (totals, both_totals):
             assert _hex(dvalue._closed_form(model, t, which)) == expected
-    assert _hex(float(totals.sum())) == _hex(expected_production(model, game))
+    # The valuation and expected_production give one number: the sum of the
+    # totals, but for an additive game the prior mean times the fsum of its
+    # values, which the totals' sum meets within rounding.
+    production = expected_production(model, game)
+    assert _hex(production) == _hex(ref.expected_production)
+    if name == "additive-real":
+        assert float(totals.sum()) == pytest.approx(production, rel=16 * np.finfo(float).eps)
+    else:
+        assert _hex(float(totals.sum())) == _hex(production)
 
 
 def _voting_table(n, rng):

@@ -197,3 +197,25 @@ def test_scalar_commands_load_no_numpy(tmp_path):
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) == 0
         assert out == buf.getvalue(), argv
+
+
+def test_rule_commands_load_no_apps_or_posterior(tmp_path):
+    # tax-rate, series and sweep use neither module, which load in the
+    # handlers of verify and apps.
+    rates = tmp_path / "rates.csv"
+    rates.write_text("period,omega,delta\np1,0.3,\np2,0.8,0.05\n")
+    commands = [
+        ["tax-rate", "--omega", "0.55", "--delta", "0.04", "--n", "5000"],
+        ["series", str(rates), "--delta", "0.1", "--n", "5000"],
+        ["sweep", "--n", "5000", "--resolution", "5"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from dichotomy import cli\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "    assert not {'dichotomy.apps', 'dichotomy.posterior'} & set(sys.modules), argv\n"
+        "print('ok')"
+    )
+    assert _run(code).strip() == "ok"

@@ -12,13 +12,15 @@ the stream count and the thread pool are bounded before anything starts.
 
 import concurrent.futures
 import json
+import math
 import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from dichotomy import cli, dvalue
+from dichotomy import cli, dvalue, production
 from dichotomy.coalition import CoalitionModel
 from dichotomy.dvalue import mc_valuation
 from dichotomy.errors import DomainError
@@ -232,6 +234,62 @@ def test_counts_follow_the_subset_law(n, theta, rho, monkeypatch):
     p = np.array([subset_prob(n, bin(mask).count("1"), theta, rho) for mask in range(1 << n)])
     se = np.sqrt(samples * p * (1.0 - p))
     assert np.all(np.abs(drawn - samples * p) <= 5.0 * se)
+
+
+@pytest.mark.parametrize("theta, rho, per_mask", [(1.0, 1.0, 16), (2.0, 3.0, 64)])
+def test_counts_follow_the_subset_law_on_both_rank_branches(theta, rho, per_mask, monkeypatch):
+    # At 16 or 64 draws per mask on average, the sizes of few coalitions take
+    # one multinomial each and the middle sizes of (1, 1) spread by ranks.
+    seen = []
+    monkeypatch.setattr(dvalue, "_mc_table_sums", _recording(dvalue._mc_table_sums, seen))
+    n = 10
+    samples = per_mask << n
+    game = random_dense_game(n, np.random.default_rng(n))
+    mc_valuation(CoalitionModel(n, theta, rho), game, samples, 13)
+    ((_, drawn, _),) = seen
+    assert drawn.sum() == samples
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    per_size = np.bincount(sizes, weights=drawn)
+    ranked = per_size <= dvalue._RANK_DRAWS * np.array([math.comb(n, t) for t in range(n + 1)])
+    assert ranked.any() == (per_mask == 16) and not ranked.all()
+    expected = samples * np.array([subset_prob(n, t, theta, rho) for t in sizes])
+    assert expected.min() >= 5.0
+    stat = ((drawn - expected) ** 2 / expected).sum()
+    assert stat < stats.chi2.ppf(0.9999, df=(1 << n) - 1)
+
+
+def test_ranks_spread_each_size_uniformly():
+    # At 4 draws per mask every size of n = 6 but the empty and the full
+    # coalition spreads by ranks; summed over 500 draws, each of its masks
+    # comes up equally often given the size's total.
+    n = 6
+    model = CoalitionModel(n, 1.0, 1.0)
+    rng = np.random.default_rng(17)
+    drawn = sum(dvalue._draw_counts(model, rng, 4 << n) for _ in range(500))
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    for t in range(1, n):
+        counts = drawn[sizes == t]
+        expected = counts.sum() / len(counts)
+        stat = ((counts - expected) ** 2 / expected).sum()
+        assert stat < stats.chi2.ppf(0.9999, df=len(counts) - 1), t
+
+
+@pytest.mark.parametrize("offset", [-2000, 2000])
+def test_counts_at_the_rank_crossover_stay_within_the_table_budget(offset, monkeypatch):
+    # With (1, 1) every size holds a 17th of the draws, so the middle size of
+    # n = 16 takes about 8 C(16, 8) + offset of them: ranks just below the
+    # crossover, the multinomial just above it.
+    n = 16
+    middle = 8 * math.comb(n, n // 2) + offset
+    game = random_dense_game(n, np.random.default_rng(3))
+    seen = []
+    monkeypatch.setattr(dvalue, "_mc_table_sums", _recording(dvalue._mc_table_sums, seen))
+    run = lambda: mc_valuation(CoalitionModel(n, 1.0, 1.0), game, 17 * middle, 7)  # noqa: E731
+    assert peak_tables(run, n) <= 3.5
+    ((_, drawn, _),) = seen
+    sizes = production._subset_sums(np.ones(n, np.uint8))
+    drawn_middle = int(drawn[sizes == n // 2].sum())
+    assert (drawn_middle <= dvalue._RANK_DRAWS * math.comb(n, n // 2)) == (offset < 0)
 
 
 def test_counted_output_depends_on_the_seed_alone():
