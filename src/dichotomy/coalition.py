@@ -105,18 +105,19 @@ class SubsetId:
 
 def _running_sum(d: np.ndarray, backward: bool = False) -> np.ndarray:
     """[0, d[0], d[0] + d[1], ..., sum(d)], summed blockwise; backward, the
-    sums run from the end and are negated, [-sum(d), ..., -d[-1], 0]."""
-    if backward:
-        back = _running_sum(d[::-1])
-        return np.negative(back, out=back)[::-1]
+    sums run from the end and are negated, [-sum(d), ..., -d[-1], 0].  A d
+    that fits one block is summed in one sequential cumsum, which gives the
+    bits of the zero-padded block."""
     k = len(d)
     blocks = -(-k // _BLOCK)
-    out = np.zeros(blocks * _BLOCK + 1)
-    out[1 : k + 1] = d
-    body = out[1:].reshape(blocks, _BLOCK)
+    out = np.zeros((blocks * _BLOCK if blocks > 1 else k) + 1)
+    out[1 : k + 1] = d[::-1] if backward else d
+    body = out[1:].reshape(max(blocks, 1), -1)
     np.cumsum(body, axis=1, out=body)
-    body[1:] += np.cumsum(body[:-1, -1])[:, None]
-    return out[: k + 1]
+    if blocks > 1:
+        body[1:] += np.cumsum(body[:-1, -1])[:, None]
+    out = out[: k + 1]
+    return np.negative(out, out=out)[::-1] if backward else out
 
 
 def _log_size_law(model: CoalitionModel) -> np.ndarray:

@@ -32,7 +32,7 @@ from .production import (
     ENUMERATION_CAP,
     Game,
     _COUNT_MAX_N,
-    _subset_sums,
+    _popcounts,
     _voting_counts,
     uniformly_outperforms,
 )
@@ -73,6 +73,17 @@ _PAIR_BLOCK = 1 << 14
 # C(n, t) = 1,820 to 184,756; at 8 their int64 array holds at most
 # 8 C(n, t), 1.6 tables of 2^n floats at n = 16 and less at larger n.
 _RANK_DRAWS = 8
+# Membership cells per Monte Carlo worker thread; below two threads' worth
+# the streams run in the calling thread.  A chunk's numpy calls are short,
+# and each hands the interpreter lock to the other thread.  On a 2-core host
+# (8 streams, each worker count in its own process, best of 15), a second
+# thread ran 0.35-0.96x as fast up to 2^20 cells in all (1.02x on additive
+# n = 100), and from 2^21 0.84-1.11x on voting games and 1.05-1.46x on
+# additive ones.  A table game's rows gather from its 2^n values in calls
+# long enough that a second thread pays from an eighth of the cells:
+# 0.77-0.91x at 2^17, 1.13-1.31x at 2^18 and 1.45-1.98x from 2^19.  So a
+# table's row cells count eight times.
+_POOL_CELLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -485,17 +496,49 @@ def _draw_counts(model: CoalitionModel, rng: np.random.Generator, samples: int) 
     r of size t is the r-th mask of t members in mask order.
     """
     n = model.n
-    drawn = np.zeros(1 << n, dtype=np.int64)
-    popcounts = _subset_sums(np.ones(n, np.uint8))
+    by_rank = np.zeros(1 << n, dtype=np.int64)  # size 0's counts, then size 1's, ...
+    start = 0
     for t, c in enumerate(rng.multinomial(samples, _size_pmf_vector(model)).tolist()):
+        m = math.comb(n, t)
         if c:
-            m = math.comb(n, t)
             if c <= _RANK_DRAWS * m:
                 counts = np.bincount(rng.integers(0, m, c), minlength=m)
             else:
                 counts = rng.multinomial(c, np.full(m, 1.0 / m))
-            drawn[popcounts == t] = counts
-    return drawn
+            by_rank[start : start + m] = counts
+        start += m
+    return _in_mask_order(by_rank, n)
+
+
+def _in_mask_order(by_rank: np.ndarray, n: int) -> np.ndarray:
+    """The entries of ``by_rank``, which holds one entry per mask of n bits
+    by size and then rank in mask order, laid out in mask order, each moved
+    once.  A mask splits into its k = n // 2 low bits l and its high bits h:
+    its rank among the masks of its size t is the number of those whose high
+    part is below h, plus the rank of l among the low parts of size t - |h|.
+    A small (2^(n-k), k + 1) table holds the first rank of each high part
+    and low size, and the masks are gathered a block of rows at a time, so
+    no index of 2^n entries is built."""
+    k = n // 2
+    high, low = _popcounts(n - k), _popcounts(k)
+    sizes = np.arange(k + 1)
+    rows = np.arange(1 << (n - k))[:, None]
+    of_size = low[:, None] == sizes
+    low_rank = (np.cumsum(of_size, axis=0) - of_size)[np.arange(1 << k), low]
+    # per_high[t, h]: the C(k, t - |h|) masks of size t with high part h; the
+    # masks before them in (size, high part) order start their ranks.
+    per_high = np.zeros((n + 1, 1 << (n - k)), dtype=np.intp)
+    per_high[high[:, None] + sizes, rows] = [math.comb(k, b) for b in sizes]
+    per_high = per_high.reshape(-1)
+    starts = (np.cumsum(per_high) - per_high).reshape(n + 1, -1).T
+    first = starts[rows, high[:, None] + sizes]  # [h, |l|]
+    out = np.empty((1 << (n - k), 1 << k), dtype=by_rank.dtype)
+    step = max(1, _PAIR_BLOCK >> k)
+    for r in range(0, 1 << (n - k), step):
+        index = np.take(first[r : r + step], low, axis=1)
+        index += low_rank
+        np.take(by_rank, index, out=out[r : r + step])
+    return out.reshape(-1)
 
 
 def _tree_reduce(parts: list[np.ndarray]) -> np.ndarray:
@@ -528,8 +571,13 @@ def mc_valuation(
     Samples are split across ``streams`` independent generators spawned from
     the seed (at most 1024), and stream partials are combined by a fixed
     pairwise tree, so the result depends on (seed, streams) but not on
-    ``max_workers``; the pool holds at most one thread per stream.  Samples
-    number 1 to 2^53 - 1, so that their counts are exact in floats.
+    ``max_workers``, which is an upper bound: the pool holds at most one
+    thread per stream and per ``_POOL_CELLS`` = 2^20 membership cells
+    (samples times n, counted eight times for a table game's rows), as a
+    second thread was measured to pay only from about 2^21 cells, and from
+    2^18 on a table; below two threads the streams run in the calling
+    thread.  Samples number 1 to 2^53 - 1, so that their counts are exact in
+    floats.
 
     A table game drawn at least 2^n times (``1 << n <= samples``) draws no
     rows: how often each coalition is drawn is one Multinomial(samples,
@@ -566,7 +614,8 @@ def mc_valuation(
         def work(k):
             return _mc_stream(model, game, rngs[k], counts[k], scale)
 
-        workers = min(max_workers, streams)
+        cells = samples * n << (3 if isinstance(game, DenseTableGame) else 0)
+        workers = min(max_workers, streams, cells // _POOL_CELLS)
         if workers > 1:
             # Imported here: a module-level import costs every cold start 4 ms.
             from concurrent.futures import ThreadPoolExecutor

@@ -337,11 +337,13 @@ def _limit_check(kind, omega, delta, tau, n_sequence, row, gate) -> LimitReport:
 
     ``row(n, a, b, mean, var)`` gives each row's target and abs_error, plus
     whichever of lower_semi, upper_semi and mad the check reports (the rest
-    stay nan); ``gate(rows)`` returns (passed, details).
+    stay nan); ``gate(rows)`` returns (passed, details).  The rows run in
+    increasing n whatever the order given, so each gate judges the largest n
+    as its last row.
     """
     _require_open_interval(omega, delta, tau)
     rows = []
-    for n in n_sequence:
+    for n in sorted(n_sequence):
         th, rh, a, b = _solved_shapes(omega, delta, tau, n)
         mean = beta_mean(a, b)
         var = beta_variance(a, b)

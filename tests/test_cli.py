@@ -449,6 +449,17 @@ class TestVerify:
         assert "verification failed" in err
         assert out.startswith("n,theta,rho,")
 
+    def test_gate_judges_the_largest_n_in_any_ladder_order(self, capsys):
+        # At n = 1e17 the sandwich fails; listed first, it is still the top rung.
+        argv = ["verify", "--theorem", "4", "--omega", "0.9", "--delta", "0.1", "--tau", "0.5"]
+        results = [
+            run_cli([*argv, "--n-list", ladder], capsys)
+            for ladder in ("100000000000000000,1000", "1000,100000000000000000")
+        ]
+        assert [code for code, _, _ in results] == [6, 6]
+        assert results[0][1] == results[1][1]
+        assert [row.split(",")[0] for row in results[0][1].splitlines()[1:]] == ["1000", "100000000000000000"]
+
     def test_invalid_theorem_number(self, capsys):
         code, _, err = run_cli(
             ["verify", "--theorem", "7", "--omega", "0.9", "--delta", "0.1",

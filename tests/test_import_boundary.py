@@ -58,6 +58,23 @@ def test_cli_loads_no_sampler_or_thread_pool():
     assert "concurrent.futures" not in loaded
 
 
+def test_small_monte_carlo_starts_no_thread_pool():
+    # 2,000 samples of 40 players are 80,000 cells, too few for a second
+    # thread to pay on a game that is not a table: the streams run in the
+    # calling thread, so the pool's module is never imported.
+    code = (
+        "import contextlib, io, sys\n"
+        "from dichotomy import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['dvalue', '--game', 'majority:40', '--theta', '2', '--rho', '3',\n"
+        "        '--method', 'mc', '--samples', '2000', '--threads', '2']) == 0\n"
+        "print('\\n'.join(sys.modules))"
+    )
+    loaded = set(_run(code).split())
+    assert "numpy.random" in loaded
+    assert "concurrent.futures" not in loaded
+
+
 def test_cli_and_posterior_load_no_scipy():
     loaded = _loaded_after("import dichotomy.cli, dichotomy.posterior")
     assert not {m for m in loaded if m == "scipy" or m.startswith("scipy.")}

@@ -25,6 +25,7 @@ from dichotomy.coalition import CoalitionModel
 from dichotomy.dvalue import mc_valuation
 from dichotomy.errors import DomainError
 from dichotomy.production import (
+    AdditiveGame,
     DenseTableGame,
     Game,
     KOutOfNGame,
@@ -274,6 +275,22 @@ def test_ranks_spread_each_size_uniformly():
         assert stat < stats.chi2.ppf(0.9999, df=len(counts) - 1), t
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 13, 16])
+def test_ranks_land_on_the_masks_of_their_size_in_mask_order(n):
+    # Entries laid by size and then rank go to the masks of each size in
+    # mask order, as a boolean scatter size by size puts them.
+    by_rank = np.random.default_rng(n).integers(0, 1 << 40, 1 << n)
+    sizes = np.array([bin(mask).count("1") for mask in range(1 << n)])
+    want = np.empty_like(by_rank)
+    start = 0
+    for t in range(n + 1):
+        m = math.comb(n, t)
+        want[sizes == t] = by_rank[start : start + m]
+        start += m
+    got = dvalue._in_mask_order(by_rank, n)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("offset", [-2000, 2000])
 def test_counts_at_the_rank_crossover_stay_within_the_table_budget(offset, monkeypatch):
     # With (1, 1) every size holds a 17th of the draws, so the middle size of
@@ -384,15 +401,59 @@ class _InlinePool:
         return map(fn, items)
 
 
-@pytest.mark.parametrize("game", [KOutOfNGame(6, 3), _twin(KOutOfNGame(6, 3))], ids=["rows", "counts"])
+@pytest.mark.parametrize(
+    "game, samples, threaded",
+    [
+        (KOutOfNGame(6, 3), 500, False),
+        (_twin(KOutOfNGame(6, 3)), 500, False),
+        (random_dense_game(10, np.random.default_rng(4)), 500, False),
+        (random_dense_game(16, np.random.default_rng(4)), 60_000, True),
+    ],
+    ids=["rows", "counts", "small-table-rows", "table-rows"],
+)
 @pytest.mark.parametrize(
     "streams, threads, pool", [(3, 1000, 3), (8, 2, 2), (1, 64, None), (5, 1, None)]
 )
-def test_pool_holds_at_most_one_thread_per_stream(game, streams, threads, pool, monkeypatch):
+def test_pool_holds_at_most_one_thread_per_stream(
+    game, samples, threaded, streams, threads, pool, monkeypatch
+):
+    # A table of 2^16 drawn 60,000 times flips its rows, whose gathers from
+    # the table count eight cells each: 7.68M cells, enough for three
+    # threads.  3,000 cells of another game and 5,000 of a table's rows run
+    # in the calling thread, and a table drawn 500 >= 2^6 times draws none.
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
+    model = CoalitionModel(game.n, 2.0, 3.0)
+    got = mc_valuation(model, game, samples, 3, streams, threads)
+    assert _InlinePool.sizes == ([pool] if threaded and pool else [])
+    assert _json(got) == _json(mc_valuation(model, game, samples, 3, streams, 1))
+
+
+class _CountingPool(concurrent.futures.ThreadPoolExecutor):
+    """A ThreadPoolExecutor that records its size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+        super().__init__(max_workers)
+
+
+@pytest.mark.parametrize(
+    "game",
+    [KOutOfNGame(6, 3), WeightedVotingGame([3, 1, 2, 2, 1, 4], 7), AdditiveGame([0.5, 2, 1, 3, 0.25, 1])],
+    ids=["kofn", "weighted", "additive"],
+)
+@pytest.mark.parametrize("pool_cells, pool", [(None, None), (3000, None), (1500, 2), (1000, 3), (1, 4)])
+def test_other_games_start_one_thread_per_pool_cells(game, pool_cells, pool, monkeypatch):
+    # 500 samples of 6 players are 3,000 cells, asked on 8 threads over 4
+    # streams: at most one thread per _POOL_CELLS cells and per stream, and
+    # none below two.  The threads are real, and move no bit.
+    if pool_cells is not None:
+        monkeypatch.setattr(dvalue, "_POOL_CELLS", pool_cells)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "sizes", [])
     model = CoalitionModel(6, 2.0, 3.0)
-    got = mc_valuation(model, game, 500, 3, streams, threads)
-    counted = isinstance(game, DenseTableGame)  # draws no rows, so needs no pool
-    assert _InlinePool.sizes == ([] if pool is None or counted else [pool])
-    assert _json(got) == _json(mc_valuation(model, game, 500, 3, streams, 1))
+    got = mc_valuation(model, game, 500, 3, 4, 8)
+    assert _CountingPool.sizes == ([] if pool is None else [pool])
+    assert _json(got) == _json(mc_valuation(model, game, 500, 3, 4, 1))

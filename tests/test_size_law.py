@@ -23,6 +23,7 @@ from dichotomy import cli
 from dichotomy.coalition import (
     CoalitionModel,
     SubsetId,
+    _running_sum,
     _size_pmf_vector,
     log_size_weights,
     size_pmf,
@@ -36,6 +37,7 @@ from dichotomy.dvalue import (
     mc_valuation,
 )
 from dichotomy.errors import DomainError
+from dichotomy.posterior import _BLOCK
 from dichotomy.production import AdditiveGame, DenseTableGame, KOutOfNGame
 
 SHAPES = [(2, 3), (0.7, 0.4), (1e6, 1), (1, 1e6), (30, 5), (0.05, 0.05), (1e9, 3)]
@@ -112,6 +114,41 @@ def test_extreme_shapes_give_a_finite_law(th, rh):
         lw = log_size_weights(model)
     assert np.all(np.isfinite(lw))
     assert np.all(np.isfinite(pmf)) and pmf.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def _blockwise_running_sum(d: np.ndarray) -> np.ndarray:
+    """[0, running sums of d]: a sequential cumsum within each block of
+    _BLOCK entries, plus the running total of the earlier blocks' sums."""
+    parts, carry = [np.zeros(1)], None
+    for start in range(0, len(d), _BLOCK):
+        part = np.cumsum(d[start : start + _BLOCK])
+        parts.append(part if carry is None else part + carry)
+        carry = part[-1] if carry is None else carry + part[-1]
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("k", [0, 1, 4095, 4096, 10_000])
+def test_running_sums_keep_their_bits(k):
+    # Up to one block the sums are those of one sequential cumsum, signed
+    # zeros included; above it, of the blockwise sum with its carries.
+    rng = np.random.default_rng(k)
+    d = rng.standard_normal(k) * 10.0 ** rng.integers(-8, 8, k)
+    d[rng.random(k) < 0.2] = -0.0
+    if k:
+        d[0] = -0.0
+    for backward in (False, True):
+        terms = d[::-1] if backward else d
+        if k <= _BLOCK:
+            want = np.concatenate(([0.0], np.cumsum(terms)))
+        else:
+            want = _blockwise_running_sum(terms)
+            # The carries round differently from one long cumsum.
+            assert not np.array_equal(want, np.concatenate(([0.0], np.cumsum(terms))))
+        if backward:
+            want = -want[::-1]
+        got = _running_sum(d, backward)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 100, 10**5])
