@@ -15,12 +15,12 @@ semivariances of shapes past 2^36 (the incomplete beta) take
 ``scipy.special``.  So ``verify`` loads numpy only for ``--theorem 4``,
 and no CLI command on markets up to about 1e11 loads scipy.  The scalar
 Stirling and Loader helpers live here, below the array layer, and
-``coalition`` imports them.
+``coalition`` imports them.  The variance, semivariances and MAD are each one
+product of scaled factors, rounded once (``tests/test_posterior_map.py``).
 """
 
 import math
 import statistics
-import sys
 from dataclasses import astuple, dataclass, fields
 
 from .errors import DomainError
@@ -95,13 +95,31 @@ def _log_mode_factor(a: float, b: float) -> float:
     )
 
 
-def _mode_factor(a: float, b: float) -> float:
-    """exp(_log_mode_factor(a, b)) without the exp of a log of order log(a
-    + b), which would magnify the log's last-place rounding into the factor."""
+def _scaled(*factors, over=()) -> tuple[float, int]:
+    """The factors' product over each of ``over`` in turn as a pair (m, e) worth m 2^e, factors
+    floats or pairs: no step leaves the float range, and normal steps round as unscaled."""
+    m, e = 1.0, 0
+    for f, k in (x if isinstance(x, tuple) else math.frexp(x) for x in factors):
+        m, e = m * f, e + k
+    for f, k in (x if isinstance(x, tuple) else math.frexp(x) for x in over):
+        m, e = m / f, e - k
+    return m, e
+
+
+def _scaled_mode_factor(a: float, b: float) -> tuple[float, int]:
+    """mu^a nu^b / B(a, b) as a ``_scaled`` pair: the even-exponent root of lo (hi / (a + b))
+    / (2 pi) times exp(delta(a + b) - delta(a) - delta(b)) (Loader 2000); below 10, sqrt(x)
+    exp(-delta(x)) is sqrt(2 pi x) sqrt(x) k(x), log k(x) = x log x - x - lgamma(1 + x) -> 0."""
     lo, hi = sorted((a, b))
-    return math.sqrt(lo * (hi / (a + b)) / (2.0 * math.pi)) * math.exp(
-        _stirlerr(a + b) - _stirlerr(a) - _stirlerr(b)
-    )
+    root, over, log_f = [lo, hi / (a + b)], [2.0 * math.pi], 0.0
+    for x, sign in ((a + b, -1), (a, 1), (b, 1)):
+        if x < 10.0:
+            (root if sign > 0 else over).append(_scaled(2.0 * math.pi, x))
+            log_f += sign * (x * math.log(x) - x - math.lgamma(1.0 + x))
+        else:
+            log_f -= sign * _stirlerr(x)
+    m, e = _scaled(*root, over=over)
+    return math.sqrt(m * 2 ** (e % 2)) * math.exp(log_f), e // 2
 
 
 def _check_shapes(a: float, b: float) -> None:
@@ -115,15 +133,11 @@ def beta_mean(a: float, b: float) -> float:
 
 
 def beta_variance(a: float, b: float) -> float:
-    """ab / ((a + b)^2 (a + b + 1)); in steps where that denominator
-    underflows to 0 or overflows, as at shapes near 1e-300 or 1e200, or
-    where ab falls below the normal floats, as at (1e-250, 1e-100)."""
+    """ab / ((a + b)^2 (a + b + 1)) as a ``_scaled`` product, which stays in
+    range where ab or the denominator leaves it, as at (1e-250, 1e-100)."""
     _check_shapes(a, b)
     total = a + b
-    den = total * total * (total + 1.0)
-    if 0.0 < den < math.inf and a * b >= sys.float_info.min:
-        return a * b / den
-    return a / total * (b / total) / (total + 1.0)
+    return math.ldexp(*_scaled(a, b, over=(_scaled(total, total, total + 1.0),)))
 
 
 def beta_mode(a: float, b: float) -> float | None:
@@ -159,11 +173,10 @@ def mad_about_mean(a: float, b: float) -> float:
     Uses the exact identity 2 a^a b^b / (B(a,b) (a+b)^(a+b+1)); the often
     quoted variant without the +1 in the exponent overstates the deviation
     by a factor a+b (at a = b = 1 it gives 1/2 where direct integration of
-    the uniform density gives 1/4).  The factor mu^a (1-mu)^b / B(a,b) is
-    taken in a form that does not cancel at large shapes.
+    the uniform density gives 1/4).
     """
     _check_shapes(a, b)
-    return 2.0 * math.exp(_log_mode_factor(a, b)) / (a + b)
+    return math.ldexp(*_scaled(2.0, _scaled_mode_factor(a, b), over=(a + b,)))
 
 
 def _lower_semivariance_series(a: float, b: float) -> float:
@@ -206,20 +219,8 @@ def _lower_semivariance_series(a: float, b: float) -> float:
         rest = terms[-1] * (a + 1.0 + start) / (1.0 + start * nu)
         if not rest > 2.0**-60 * tail:  # also ends at a zero tail or a nan shape
             break
-    shift = 0
-    if (mode := _mode_factor(a, b)) < 2.0**-900:
-        # A factor this small needs a < 2^-898, where mu^a nu^b and
-        # Gamma(1 + a + b) / (Gamma(1 + a) Gamma(1 + b)) are 1 within 1500 a,
-        # so the factor is a b / (a + b) to double precision.  It is formed
-        # scaled up, before it could round to a subnormal.
-        shift = 600
-        mode = math.ldexp(a, shift) * nu
-    # The product of the factors may leave the float range where the result
-    # does not, as at (1e-250, 1e-100), where it is 1e-400 and the result
-    # 1e-300: the factors' exponents are taken out, and the result is scaled
-    # once, by its own size.  Powers of two move no bit of a normal result.
-    (m, e), (s, f), (d, g) = map(math.frexp, (mode, mu + nu * tail, total))
-    return math.ldexp(m * s / d / (total + 1.0), e + f - g - shift)
+    factor = _scaled_mode_factor(a, b)  # the product is 1e-400 at (1e-250, 1e-100)
+    return math.ldexp(*_scaled(factor, mu + nu * tail, over=(total, total + 1.0)))
 
 
 # Beyond this smaller shape (markets of about 1e11 and more) the series
@@ -247,10 +248,8 @@ def semivariances(a: float, b: float) -> tuple[float, float]:
     from scipy.special import betainc  # scipy loads only where it is needed
 
     mu = a / (a + b)
-    dens = math.exp(_log_mode_factor(a, b))  # mu^a (1-mu)^b / B(a,b)
-    lower = var * float(betainc(a, b, mu)) + dens * mu * (2.0 * mu - 1.0) / (
-        a * (a + b + 1.0)
-    )
+    dens = _scaled(_scaled_mode_factor(a, b), mu, 2.0 * mu - 1.0, over=(a, a + b + 1.0))
+    lower = var * float(betainc(a, b, mu)) + math.ldexp(*dens)
     return lower, var - lower
 
 

@@ -206,6 +206,23 @@ def _nearest(x: Fraction) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _exact_residuals(n: Fraction, w, e, t, theta: float, rho: float) -> tuple[float, float]:
+    """The two residuals at a finite rounded pair, exact on Fraction and
+    rounded once: each misfit over max(1, |t|), inf where its denominator
+    vanishes."""
+    r8, den8, r9, den9 = _misfits(n, w, e, t, Fraction(theta), Fraction(rho))
+    scale = max(1, abs(t))
+    return (
+        math.inf if den8 == 0 else _nearest(r8 / scale),
+        math.inf if den9 == 0 else _nearest(r9 / scale),
+    )
+
+
+def _exact_n(n) -> Fraction:
+    """n as a Fraction: an integer n as given, anything else as its float."""
+    return Fraction(int(n) if isinstance(n, numbers.Integral) else float(n))
+
+
 def _solve_cells(n, omega, delta, taus: np.ndarray) -> tuple[ProbeColumns, np.ndarray]:
     """Solve every cell of a float64 tau vector at one (n, omega, delta).
 
@@ -214,10 +231,13 @@ def _solve_cells(n, omega, delta, taus: np.ndarray) -> tuple[ProbeColumns, np.nd
     shorthands; theta and rho come from the longdouble shorthands and are
     rounded to float64.  The two identities cancel terms of order
     n^2 * theta down to order rho + n, so their residuals are re-evaluated in
-    longdouble at the rounded solution; plain doubles would inflate them by
-    the cancellation ratio.  Every operation runs with numpy's floating-point
-    warnings off: overflow to inf or nan is part of the result, as in Python
-    float arithmetic.
+    longdouble at the rounded solution, scaled there and rounded once; plain
+    doubles would inflate them by the cancellation ratio.  Where a residual
+    still leaves the float range at a finite pair, the longdouble
+    cancellation has lost it, and both residuals of that cell are taken
+    exactly, as ``solve_theta_rho`` takes them.  Every operation runs with
+    numpy's floating-point warnings off: overflow to inf or nan is part of
+    the result, as in Python float arithmetic.
     """
     import numpy as np
 
@@ -231,12 +251,18 @@ def _solve_cells(n, omega, delta, taus: np.ndarray) -> tuple[ProbeColumns, np.nd
         t = taus.astype(ld)
         theta, rho = (x.astype(float) for x in _closed_form(n_, w, e, t))
         r8, den8, r9, den9 = _misfits(n_, w, e, t, theta.astype(ld), rho.astype(ld))
-        scale = np.maximum(1.0, np.abs(taus))
-        r8 = r8.astype(float) / scale
-        r9 = r9.astype(float) / scale
+        scale = np.maximum(1.0, np.abs(t))
+        r8 = (r8 / scale).astype(float)
+        r9 = (r9 / scale).astype(float)
         r8[den8 == 0] = math.inf
         r9[den9 == 0] = math.inf
+        lost = np.isfinite(theta) & np.isfinite(rho) & ~(np.isfinite(r8) & np.isfinite(r9))
         valid = (theta > 0.0) & (rho > 0.0) & (0.0 <= taus) & (taus <= 1.0) & ~band
+    for k in np.flatnonzero(lost & ~band).tolist():
+        r8[k], r9[k] = _exact_residuals(
+            _exact_n(n), Fraction(w_f), Fraction(e_f), Fraction(float(taus[k])),
+            float(theta[k]), float(rho[k]),
+        )
     for x in (theta, rho, r8, r9):
         x[band] = math.nan
     return ProbeColumns(taus, theta, rho, sh, r8, r9, valid, singular=band), den
@@ -264,7 +290,7 @@ def solve_theta_rho(n: float, omega: float, delta: float, tau: float) -> TaxSolu
             f"system degenerates near tau = 1 - omega + delta*omega "
             f"(n*d + d3 = {den:.3e})"
         )
-    n_ = Fraction(int(n) if isinstance(n, numbers.Integral) else nf)
+    n_ = _exact_n(n)
     w, e, t = Fraction(w_f), Fraction(e_f), Fraction(t_f)
     try:
         theta, rho = map(_nearest, _closed_form(n_, w, e, t))
@@ -272,10 +298,7 @@ def solve_theta_rho(n: float, omega: float, delta: float, tau: float) -> TaxSolu
         raise SingularSystemError("system degenerates: n*d + d3 = 0 exactly") from None
     r8 = r9 = math.nan
     if math.isfinite(theta) and math.isfinite(rho):
-        r8, den8, r9, den9 = _misfits(n_, w, e, t, Fraction(theta), Fraction(rho))
-        scale = max(1, abs(t))
-        r8 = math.inf if den8 == 0 else _nearest(r8 / scale)
-        r9 = math.inf if den9 == 0 else _nearest(r9 / scale)
+        r8, r9 = _exact_residuals(n_, w, e, t, theta, rho)
     elif math.isfinite(theta):  # rho alone overflowed: so does the welfare quotient
         r9 = math.inf
     return TaxSolution(

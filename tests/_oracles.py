@@ -106,25 +106,33 @@ def mp_lower_semivariance(a: float, b: float):
     """Lower semivariance of Beta(a, b) by mpmath quadrature of the density.
 
     The integral runs in standardized coordinates z = (x - mu) / sd, so the
-    integrand stays O(1) at every shape size; the log-density is formed at
-    30 digits, which absorbs the cancellation of its huge terms.
-    Returns an ``mpmath.mpf``.
+    integrand stays O(1) at every shape size, and the quadrature works at 30
+    digits.  The terms of the log-density grow like a log b, about 5e13 at
+    (2^36, 1e300), and cancel to order one: the density is formed at 30
+    digits plus one per decade of the larger shape.  Returns an
+    ``mpmath.mpf``.
     """
-    with mpmath.workdps(30):
+    wide = 30 + math.ceil(math.log10(max(a, b)))
+    with mpmath.workdps(wide):
         a, b = mpmath.mpf(a), mpmath.mpf(b)
         mu = a / (a + b)
         sd = mpmath.sqrt(a * b / ((a + b) ** 2 * (a + b + 1)))
         ln_norm = mpmath.log(sd) - mpmath.log(mpmath.beta(a, b))
+        z_lo = max(-mu / sd, mpmath.mpf(-60))
 
-        def integrand(z):
+    def integrand(z):
+        with mpmath.workdps(wide):
             x = mu + sd * z
-            return z * z * mpmath.exp(
+            y = z * z * mpmath.exp(
                 ln_norm + (a - 1) * mpmath.log(x) + (b - 1) * mpmath.log1p(-x)
             )
+        return +y
 
-        z_lo = max(-mu / sd, mpmath.mpf(-60))
+    with mpmath.workdps(30):
         knots = [z_lo] + [z for z in (-30, -15, -8, -4, -2, -1) if z > z_lo] + [0]
-        return +(sd * sd * mpmath.quad(integrand, knots))
+        # Where z_lo = -mu / sd, x may round below 0 near it, and the log
+        # adds an imaginary part far below the last digit: drop it.
+        return +(sd * sd * mpmath.re(mpmath.quad(integrand, knots)))
 
 
 def mp_semivariances(a: float, b: float):
@@ -155,6 +163,36 @@ def mp_semivariances(a: float, b: float):
         else:
             lower = mp_lower_semivariance(a, b)
         return lower, var - lower
+
+
+def mp_semivariances_euler(a: float, b: float):
+    """Lower and upper semivariances of Beta(a, b) from mpmath, as mpf,
+    without the cancellation of ``mp_semivariances``.
+
+    The smaller side is the lower side of Beta(lo, hi), lo <= hi (the upper
+    side of Beta(a, b) when a > b, by x -> 1 - x).  With x = mu u, Euler's
+    integral (DLMF 15.6.1) gives it as
+    mu^(lo + 2) B(lo, 3) 2F1(1 - hi, lo; lo + 3; mu) / B(lo, hi), mu =
+    lo / (lo + hi), at 50 digits plus one per decade of the larger shape.
+    Below lo = 10 the series' terms, of alternating sign when hi is large,
+    cancel a few digits at most (it agrees with itself at 60 more digits to
+    1e-50); from 10 up the side comes from ``mp_lower_semivariance``.  The
+    other side is the variance less it.
+    """
+    lo, hi = sorted((a, b))
+    with mpmath.workdps(50 + max(0, math.ceil(math.log10(hi)))):
+        ml, mh = mpmath.mpf(lo), mpmath.mpf(hi)
+        total = ml + mh
+        var = ml * mh / (total**2 * (total + 1))
+        if lo < 10:
+            mu = ml / total
+            side = (
+                mu ** (ml + 2) * 2 / (ml * (ml + 1) * (ml + 2))
+                * mpmath.hyp2f1(1 - mh, ml, ml + 3, mu) / mpmath.beta(ml, mh)
+            )
+        else:
+            side = mp_lower_semivariance(lo, hi)
+        return (side, var - side) if a <= b else (var - side, side)
 
 
 def mp_theta_rho(n, omega, delta, tau, prec=10_000):

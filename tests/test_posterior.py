@@ -99,9 +99,9 @@ class TestBasicStatistics:
             ref = float(ma * mb / ((ma + mb) ** 2 * (ma + mb + 1)))
         assert beta_variance(a, b) == pytest.approx(ref, rel=5e-16, abs=0.0)
 
-    # At (2e-310, 1e-300) and (5e-324, 1e-300) the mode factor is below
-    # 2^-900, so the lower side's series forms it as a nu scaled by 2^600.
-    # At (1e-280, 1e-200) the oracle's two terms cancel 80 digits.
+    # At (2e-310, 1e-300) and (5e-324, 1e-300) the mode factor is a deep
+    # subnormal, carried as a mantissa and a power of two.  At (1e-280,
+    # 1e-200) the oracle's two terms cancel 80 digits.
     @pytest.mark.parametrize(
         "a, b",
         [(1e-300, 1e-300), (1e-300, 3e-300), (2e-310, 1e-300), (5e-324, 1e-300), (1e-280, 1e-200)],
@@ -110,9 +110,8 @@ class TestBasicStatistics:
         s = summarize(PosteriorRate(a, b, 0.5))
         ref_lo, ref_up = mp_semivariances(a, b)
         assert s.variance == beta_variance(a, b)
-        # Within the 2e-14 of the lgamma-based Stirling remainder at tiny x.
-        assert s.lower_semivariance == pytest.approx(float(ref_lo), rel=1e-13, abs=0.0)
-        assert s.upper_semivariance == pytest.approx(float(ref_up), rel=1e-13, abs=0.0)
+        assert s.lower_semivariance == pytest.approx(float(ref_lo), rel=5e-16, abs=0.0)
+        assert s.upper_semivariance == pytest.approx(float(ref_up), rel=5e-16, abs=0.0)
 
     def test_mode_undefined_at_boundary_shapes(self):
         assert beta_mode(1.0, 5.0) is None
@@ -237,10 +236,9 @@ class TestSemivariances:
         assert lo == pytest.approx(float(ref_lo), rel=1e-10, abs=0.0)
         assert up == pytest.approx(float(ref_up), rel=1e-10, abs=0.0)
 
-    # Where the mode factor is below 2^-900 (subnormal at most of these
-    # shapes), it is a b / (a + b) to double precision, and the series forms
-    # it scaled up by 2^600, so that neither it nor the products round to a
-    # subnormal, which would drop digits.
+    # Where the mode factor is subnormal, as at most of these shapes, it is
+    # carried as a mantissa and a power of two, so that neither it nor the
+    # products round to a subnormal, which would drop digits.
     @pytest.mark.parametrize(
         "a, b",
         [(3e-320, 1e-310), (1e-310, 3e-320), (2e-310, 1e-300)]
@@ -252,18 +250,17 @@ class TestSemivariances:
         assert abs(lo / ref_lo - 1) <= 1e-15
         assert abs(up / ref_up - 1) <= 1e-15
 
-    # The smaller shape below 2^-900 (its factor scaled by 2^600) and above
-    # it, the other up to 1e300 times larger, in both orders.  The lower side
-    # is near a^2 / b: the product of its factors may leave the float range
-    # where the result does not, 1e-400 against 1e-300 at (1e-250, 1e-100).
-    # Within the 5e-14 of the lgamma-based Stirling remainder at tiny x where
+    # The smaller shape below 2^-900 and above it, the other up to 1e300
+    # times larger, in both orders.  The lower side is near a^2 / b: the
+    # product of its factors may leave the float range where the result does
+    # not, 1e-400 against 1e-300 at (1e-250, 1e-100).  Within 5e-16 where
     # the result is a normal float, within one step where it is subnormal.
     @pytest.mark.parametrize("a, b", _LOPSIDED_TINY_SHAPES)
     def test_products_scaled_by_the_size_of_the_result(self, a, b):
         lo, up = semivariances(a, b)
         for got, ref in zip((lo, up), mp_semivariances(a, b)):
             ref = float(ref)
-            bound = 1e-13 * ref if ref >= sys.float_info.min else math.ulp(0.0)
+            bound = 5e-16 * ref if ref >= sys.float_info.min else math.ulp(0.0)
             assert abs(got - ref) <= bound
 
     @pytest.mark.parametrize("a, b", [(math.inf, 2.0), (2.0, math.inf)])

@@ -216,3 +216,16 @@ class TestProbe:
             if abs(n * sh.d[i] + sh.d3[i]) <= 1.0:
                 continue
             assert cols.valid[i] == (sh.d[i] > 0 and cols.theta[i] > 0)
+
+    def test_residual_past_the_float_range_in_longdouble_is_taken_exactly(self):
+        # The longdouble benefits misfit here is 3.5e597, its cancellation
+        # lost: scaled by |tau| it still leaves the float range, where the
+        # exact residual is 2.5e303.  Both residuals of such a cell are those
+        # of the exact solve.
+        cell = (1.7e308, 0.9951489077383906, 1e308, -484393.7620065268)
+        cols = probe_columns(*cell[:3], [cell[3]])
+        sol = solve_theta_rho(*cell)
+        assert sol.residual_benefits == 2.545327092427583e303
+        assert (cols.theta[0], cols.rho[0]) == (sol.theta, sol.rho)
+        assert cols.residual_benefits[0] == sol.residual_benefits
+        assert cols.residual_welfare[0] == sol.residual_welfare
