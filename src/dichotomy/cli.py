@@ -261,7 +261,9 @@ def _cmd_dvalue(args) -> int:
         except SingularSystemError:  # a coefficient denominator vanishes
             value = None
         closed[f"aggregate_{key}_closed_form"] = value
-    del totals  # n + 1 floats, freed before the report's lists are built
+    # n + 1 floats each, the totals and the model's size law, freed before
+    # the report's lists are built.
+    del totals, model
     _write_out(json_dumps(val.to_json_dict() | closed) + "\n", args.out)
     return EXIT_OK
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoalitionModel:
-    """Beta-Binomial opportunity distribution over subsets of n players."""
+    """Beta-Binomial opportunity distribution over subsets of n players.
+
+    The size law P(|S| = t), t = 0..n, is computed on first use and held,
+    read-only, for the model's lifetime: n + 1 floats, 80 MB at n = 1e7.
+    """
 
     n: int
     theta: float
@@ -57,6 +62,16 @@ class CoalitionModel:
     def prior_mean(self) -> float:
         """Prior mean of the employment rate."""
         return self.theta / (self.theta + self.rho)
+
+    @cached_property
+    def _size_pmf(self) -> np.ndarray:
+        # Not a field: kept out of ==, hash and repr, and set by cached_property
+        # in the instance dict, past the frozen __setattr__.
+        p = _log_size_law(self)
+        np.exp(p, out=p)
+        p /= p.sum()
+        p.setflags(write=False)
+        return p
 
 
 @dataclass(frozen=True)
@@ -155,11 +170,9 @@ def _log_size_law(model: CoalitionModel) -> np.ndarray:
 
 
 def _size_pmf_vector(model: CoalitionModel) -> np.ndarray:
-    """P(|S| = t) for every size t = 0..n, from the ratios of neighbouring sizes."""
-    p = _log_size_law(model)
-    np.exp(p, out=p)
-    p /= p.sum()
-    return p
+    """P(|S| = t) for every size t = 0..n, from the ratios of neighbouring
+    sizes: the model's own read-only array, computed on first use."""
+    return model._size_pmf
 
 
 def _bd0(x: float, m: float, d: float) -> float:

@@ -19,6 +19,7 @@ an additive game, whose marginals are its player values, counts how often
 each player is drawn inside, and the rest flip their rows.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,9 +190,25 @@ def _fold(sums: list, n: int) -> np.ndarray:
     return sums[..., 0].copy()
 
 
+@functools.cache
 def _one_hot(bits: int) -> np.ndarray:
-    """(2^bits, bits + 1) floats: row j is 1 in column |j| and 0 elsewhere."""
-    return (np.bitwise_count(np.arange(1 << bits))[:, None] == np.arange(bits + 1)).astype(float)
+    """(2^bits, bits + 1) floats: row j is 1 in column |j| and 0 elsewhere.
+    Built once per bit count and read-only."""
+    out = (np.bitwise_count(np.arange(1 << bits))[:, None] == np.arange(bits + 1)).astype(float)
+    out.setflags(write=False)
+    return out
+
+
+@functools.cache
+def _size_gather(m: int, k: int) -> np.ndarray:
+    """The last one-hot of ``_size_sums`` over 2^m entries in blocks of 2^k:
+    row (|start|, |high|, |low|) is 1 in column |start| + |high| + |low|.
+    Built once per layout and read-only."""
+    h = k // 2
+    sizes = np.add.outer(np.arange(m - k + 1)[:, None] + np.arange(k - h + 1), np.arange(h + 1))
+    out = (sizes.reshape(-1, 1) == np.arange(m + 1)).astype(float)
+    out.setflags(write=False)
+    return out
 
 
 def _size_sums(blocks, rows: int, m: int) -> np.ndarray:
@@ -217,8 +234,7 @@ def _size_sums(blocks, rows: int, m: int) -> np.ndarray:
         np.matmul(x.reshape(-1, 1 << h), low, out=product)
         acc[r, start.bit_count()] += product
     parts = _one_hot(k - h).T @ acc  # [r, |start|, |high|, |low|]
-    sizes = np.add.outer(np.arange(m - k + 1)[:, None] + np.arange(k - h + 1), np.arange(h + 1))
-    return parts.reshape(rows, -1) @ (sizes.reshape(-1, 1) == np.arange(m + 1)).astype(float)
+    return parts.reshape(rows, -1) @ _size_gather(m, k)
 
 
 def _table_sums(table: np.ndarray, n: int, players: bool):
@@ -252,7 +268,10 @@ def _exact(
     steps of size t by f(t + 1), the loss by f(t), and the totals take f(t)
     once per size.  The valuation's expected production is the number
     ``expected_production`` returns: the sum of those totals, or for an
-    additive game ``_additive_production``, which needs no size law.
+    additive game ``_additive_production``, which needs no size law.  The
+    size law is the model's own (``_size_pmf_vector``): computed on the
+    first call that needs it and held read-only for the model's lifetime,
+    so every exact call on one model reads one law.
 
     Returns the Valuation when ``players`` and, when ``totals``, P(S = T)
     times the sum of v(T) over the coalitions T of each size t (the last
