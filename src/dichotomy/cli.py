@@ -99,7 +99,9 @@ def _voting_numbers(texts: list[str]) -> list[float]:
     denominator, they are integers; when the scaled weights total below
     2^53, every weight sum is exact, so a coalition whose decimal weight
     equals the quota reaches it.  Otherwise, or when a decimal exponent
-    exceeds 400 (Fraction would expand 10**exponent), they stay floats.
+    exceeds 400 (Fraction would expand 10**exponent), or when the scaled
+    quota passes the float range, they stay floats: such a quota is above
+    the total weight either way, so no coalition wins.
     """
     values = [float(x) for x in texts]
     if all(map(math.isfinite, values)) and all(
@@ -108,7 +110,10 @@ def _voting_numbers(texts: list[str]) -> list[float]:
         exact = [Fraction(x) for x in texts]
         scale = math.lcm(*(f.denominator for f in exact))
         if sum(abs(f) for f in exact[:-1]) * scale < 2**53:
-            return [float(f * scale) for f in exact]
+            try:
+                return [float(f * scale) for f in exact]
+            except OverflowError:
+                pass
     return values
 
 

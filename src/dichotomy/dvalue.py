@@ -19,6 +19,8 @@ an additive game, whose marginals are its player values, counts how often
 each player is drawn inside, and the rest flip their rows.
 """
 
+from __future__ import annotations
+
 import functools
 import math
 from dataclasses import dataclass

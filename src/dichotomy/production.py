@@ -233,16 +233,21 @@ def _player_weights(values, what: str) -> np.ndarray:
     return w
 
 
+def _check_table_size(n: int) -> None:
+    """Raise unless a table of 2^n values is within the enumeration cap."""
+    if n < 1:
+        raise DomainError("need at least one player")
+    if n > ENUMERATION_CAP:
+        raise CapacityError(
+            f"dense tables limited to n <= {ENUMERATION_CAP}, got {n}"
+        )
+
+
 class DenseTableGame(Game):
     """Explicit table of 2^n values indexed by bitmask (bit i-1 = player i)."""
 
     def __init__(self, n: int, values):
-        if n < 1:
-            raise DomainError("need at least one player")
-        if n > ENUMERATION_CAP:
-            raise CapacityError(
-                f"dense tables limited to n <= {ENUMERATION_CAP}, got {n}"
-            )
+        _check_table_size(n)
         values = np.asarray(values, dtype=float)
         if values.shape != (1 << n,):
             raise DomainError(f"expected {1 << n} values, got {values.shape}")
@@ -445,6 +450,7 @@ def load_dense_game(path: str) -> DenseTableGame:
 
 def random_dense_game(n: int, rng: np.random.Generator) -> DenseTableGame:
     """Uniform random values on all non-empty coalitions."""
+    _check_table_size(n)
     values = rng.random(1 << n)
     values[0] = 0.0
     return DenseTableGame(n, values)
@@ -455,12 +461,21 @@ def random_monotone_game(n: int, rng: np.random.Generator) -> DenseTableGame:
 
     Each term pays a positive amount once a required subset is fully hired;
     sums of such terms are monotone nondecreasing in set inclusion.
+
+    A term adds its pay only to the coalitions that hold every bit of
+    ``need``: one strided view of 2^(n - |need|) entries, where axis
+    n - 1 - j of the (2,) * n table is bit j.  So the 2n terms cost 2n adds
+    over sub-cubes, with no array of masks.  The table is the one that adding
+    each term's 0/pay vector over all 2^n masks gives, bit for bit: every pay
+    is >= 0, x + 0.0 = x for x >= +0.0, and each entry sums its pays in term
+    order.  The draws are the same too: ``need``, then ``pay``, per term.
     """
-    masks = np.arange(1 << n, dtype=np.int64)
+    _check_table_size(n)
     values = np.zeros(1 << n)
+    cube = values.reshape((2,) * n)
     for _ in range(2 * n):
         need = int(rng.integers(1, 1 << n))
         pay = float(rng.random())
-        values += pay * ((masks & need) == need)
+        cube[tuple(1 if need >> (n - 1 - a) & 1 else slice(None) for a in range(n))] += pay
     values[0] = 0.0
     return DenseTableGame(n, values)

@@ -424,6 +424,20 @@ def peak_tables(fn, n) -> float:
     return peak / ((1 << n) * 8)
 
 
+def masked_monotone_values(n, rng) -> np.ndarray:
+    """``random_monotone_game``'s table, as the library built it before it
+    added each term on its sub-cube: every term adds its pay times the 0/1
+    indicator of ``need`` over all 2^n masks, drawing need, then pay."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    values = np.zeros(1 << n)
+    for _ in range(2 * n):
+        need = int(rng.integers(1, 1 << n))
+        pay = float(rng.random())
+        values += pay * ((masks & need) == need)
+    values[0] = 0.0
+    return values
+
+
 # --- weighted voting, counted coalition by coalition --------------------------
 
 def voting_counts_by_masks(weights, quota):

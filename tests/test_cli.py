@@ -320,6 +320,19 @@ class TestDvalue:
         assert decimal == integer
         assert json.loads(integer[1])["gamma"][0] == 0.25
 
+    @pytest.mark.parametrize(
+        "command, quota",
+        [(["dvalue"], "1.5"), (["apps", "insurance", "--surcharge", "0.1"], "0.1")],
+        ids=["dvalue", "insurance"],
+    )
+    def test_quota_past_the_float_range_once_scaled(self, command, quota, capsys):
+        # Scaled by 2 * 10^323, the weight 5e-324 is 1 but the quota passes
+        # the float range; the weights stay floats, and nobody wins, as in
+        # an integer game whose quota tops the total weight.
+        shape = ["--theta", "2", "--rho", "3"]
+        tiny = run_cli([*command, "--game", f"weighted:5e-324:{quota}", *shape], capsys)
+        assert tiny == (0, run_cli([*command, "--game", "weighted:1:2", *shape], capsys)[1], "")
+
     def test_unknown_game_is_data_error(self, capsys):
         code, _, err = run_cli(
             ["dvalue", "--game", "nosuch:3", "--theta", "1", "--rho", "1"], capsys

@@ -23,7 +23,7 @@ from dichotomy.production import (
     uniformly_outperforms,
 )
 
-from _oracles import brute_outperforms
+from _oracles import brute_outperforms, masked_monotone_values, peak_tables
 
 
 class TestEvaluate:
@@ -269,3 +269,39 @@ def test_value_bound_covers_every_coalition(name):
     game = _FLIP_GAMES[name]
     values = np.abs(game.dense_values())
     assert values.max() <= game.value_bound()
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_monotone_generator_matches_the_mask_formula(n):
+    # The same table bit for bit, and the same draws: the generator is left
+    # in the same state.
+    for seed in range(8 if n <= 14 else 2):
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        table = random_monotone_game(n, mine).table
+        assert table.tobytes() == masked_monotone_values(n, theirs).tobytes()
+        assert mine.bit_generator.state == theirs.bit_generator.state
+
+
+def test_monotone_generator_holds_no_mask_temporaries():
+    # The table and DenseTableGame's finiteness check, an eighth of one;
+    # the mask formula peaks at about three tables.
+    n = 20
+    assert peak_tables(lambda: random_monotone_game(n, np.random.default_rng(1)), n) < 2
+
+
+@pytest.mark.parametrize("make", [random_dense_game, random_monotone_game])
+@pytest.mark.parametrize(
+    "n, error", [(production.ENUMERATION_CAP + 1, CapacityError), (0, DomainError)]
+)
+def test_generators_check_the_size_before_allocating(make, n, error):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+
+    def build():
+        with pytest.raises(error):
+            make(n, rng)
+
+    # A 2^25 table is 256 MB; the check raises before any array of that size
+    # and before the first draw.
+    assert peak_tables(build, production.ENUMERATION_CAP + 1) < 0.01
+    assert rng.bit_generator.state == state
