@@ -9,6 +9,12 @@ aggregates and Monte Carlo estimators cover the regimes where full
 enumeration is out of reach.  ``_exact`` alone picks a game's exact path
 (size law, additive, integer-vote counts or the 2^n table) and serves the
 valuation, the by-size totals of the closed forms, or both from one pass.
+A table valuation sums each player's steps v(T + i) - v(T) by |T|, pair by
+pair.  In an integer table whose sums stay below 2^53 every sum is exact, so
+the steps are also A_i(t + 1) - (Tot(t) - A_i(t)), a difference of by-size
+sums of the values, which one-hot products give bit for bit in a fraction
+of the walk's time (``_integer_sums``); over floats that difference cancels,
+so other tables keep the walk.
 Monte Carlo on a table game that draws at least 2^n samples draws how often
 each coalition comes up, a multinomial over P(S = T) drawn as sizes then
 uniform ranks within each size, and weighs each (T, T + i) pair once by
@@ -70,6 +76,15 @@ _MC_MAX_EXP = 400
 # below the 65,536 * 4 where OpenBLAS's dgemm starts its thread pool (a
 # whole-table product at n = 20 does, and adds about 3 MB of peak RSS).
 _PAIR_BLOCK = 1 << 14
+# Entries per block of an integer table's one-hot products (``_integer_sums``)
+# and the low bits of a block that its membership columns resolve.  Every
+# product stays below the 65,536 * 4 multiply-adds where OpenBLAS's dgemm
+# starts its thread pool (the largest, 226,800, gathers the sums by size at
+# n = 24), as in ``_size_sums``.  Single-threaded, 2^13 entries and 5 bits
+# ran about as fast as 2^12 to 2^14 entries and 5 to 7 bits, and 4 bits
+# 1.3x slower at n = 16.
+_INT_BLOCK = 1 << 13
+_INT_LOW_BITS = 5
 # Draws per coalition up to which a size's count is spread by uniform ranks
 # rather than one multinomial call, which makes a binomial draw per
 # coalition.  Ranks are the faster up to 16 to 28 draws per coalition at
@@ -202,15 +217,34 @@ def _one_hot(bits: int) -> np.ndarray:
 
 
 @functools.cache
-def _size_gather(m: int, k: int) -> np.ndarray:
-    """The last one-hot of ``_size_sums`` over 2^m entries in blocks of 2^k:
-    row (|start|, |high|, |low|) is 1 in column |start| + |high| + |low|.
-    Built once per layout and read-only."""
-    h = k // 2
-    sizes = np.add.outer(np.arange(m - k + 1)[:, None] + np.arange(k - h + 1), np.arange(h + 1))
-    out = (sizes.reshape(-1, 1) == np.arange(m + 1)).astype(float)
+def _members(bits: int) -> np.ndarray:
+    """(2^bits, (bits + 1)^2) floats: column (g, w) of row j is 1 where
+    |j| = w and j holds bit g, and for g = bits where |j| = w, so those last
+    bits + 1 columns are ``_one_hot(bits)``.  Built once per bit count and
+    read-only."""
+    j = np.arange(1 << bits)
+    holds = np.c_[(j[:, None] >> np.arange(bits) & 1) == 1, np.ones(1 << bits, dtype=bool)]
+    sized = np.bitwise_count(j)[:, None] == np.arange(bits + 1)
+    out = (holds[:, :, None] & sized[:, None, :]).reshape(1 << bits, -1).astype(float)
     out.setflags(write=False)
     return out
+
+
+@functools.cache
+def _gather_sizes(*bits: int) -> np.ndarray:
+    """The one-hot that adds sizes: row (x_1, ..., x_m), each x_j from 0 to
+    bits[j] in C order, is 1 in column x_1 + ... + x_m.  Built once per
+    layout and read-only."""
+    sizes = functools.reduce(np.add.outer, [np.arange(b + 1) for b in bits])
+    out = (sizes.reshape(-1, 1) == np.arange(sum(bits) + 1)).astype(float)
+    out.setflags(write=False)
+    return out
+
+
+def _size_gather(m: int, k: int) -> np.ndarray:
+    """The last one-hot of ``_size_sums`` over 2^m entries in blocks of 2^k:
+    row (|start|, |high|, |low|) is 1 in column |start| + |high| + |low|."""
+    return _gather_sizes(m - k, k - k // 2, k // 2)
 
 
 def _size_sums(blocks, rows: int, m: int) -> np.ndarray:
@@ -258,6 +292,72 @@ def _table_sums(table: np.ndarray, n: int, players: bool):
     return steps, _size_sums(value_blocks, 1, n)[0]
 
 
+def _integer_sums(table: np.ndarray, n: int):
+    """``_table_sums(table, n, True)`` bit for bit, from one-hot products,
+    when every value is an integer and 2^n max|v| < 2^53; else None.
+
+    Then every sum of values is an exact integer in any order, and so is
+    steps[i, t] = A_i(t + 1) - (Tot(t) - A_i(t)), where A_i(s) sums v(S)
+    over the S of s members that hold bit i, and Tot(s) over all of them:
+    the sum of v(T + i) - v(T) that the pair walk forms.  Over floats this
+    difference of large sums would cancel, which is why the walk exists.
+
+    Each aligned block of 2^k entries is checked (a float table is turned
+    away by its last 64 values, before any block), then summed into acc by
+    |start|: S = start + j has |start| + |j| members, so every block of one
+    |start| shares the sums of its k low bits.  For each of the high bits
+    that start holds, the block's entries summed by |j|, from the one-hot of
+    their h lowest bits, are added by |start| + |low|.  At the end, acc laid
+    as (2^(k-h), 2^h) per |start| meets the one-hot of its row bits and
+    ``_members(h)``, for the totals and the h lowest bits, and the one-hot
+    of h bits and ``_members(k - h)``, for the row bits; every sum by size
+    is gathered as in ``_size_sums``.
+    """
+    if not all(v.is_integer() for v in table[-64:].tolist()):
+        return None
+    bound = math.ldexp(1.0, 53 - n)
+    k = min(n, _INT_BLOCK.bit_length() - 1)
+    h = min(k, _INT_LOW_BITS)
+    rows = 1 << (k - h)
+    lows = _one_hot(h)
+    acc = np.zeros((n - k + 1, rows, 1 << h))  # [|start|, row, low]
+    high = np.zeros((n - k, n - k + h + 1, rows))  # [bit - k, |start| + |low|, row]
+    part = np.empty((h + 1, rows))
+    buf = np.empty(1 << k)
+    same = np.empty(1 << k, dtype=bool)
+    for start in range(0, 1 << n, 1 << k):
+        x = table[start : start + (1 << k)]
+        if not (
+            np.abs(x, out=buf).max() < bound
+            and np.equal(np.rint(x, out=buf), x, out=same).all()
+        ):
+            return None
+        laid = x.reshape(rows, -1)
+        c = start.bit_count()
+        acc[c] += laid
+        if c:
+            np.matmul(lows.T, laid.T, out=part)
+            for i in range(n - k):
+                if start >> (k + i) & 1:
+                    high[i, c : c + h + 1] += part
+    u = k - h + 1
+    by_rows = (_one_hot(k - h).T @ acc @ _members(h)).reshape(-1, u, h + 1, h + 1)
+    by_lows = (_members(k - h).T @ (acc @ lows)).reshape(-1, u, u, h + 1)
+    # [bits 0 to h - 1, bits h to k - 1, all][|start|, |row|, |low|]
+    parts = np.concatenate(
+        [
+            by_rows.transpose(2, 0, 1, 3)[:h],
+            by_lows[:, :-1].transpose(1, 0, 2, 3),
+            by_rows[None, :, :, h],
+        ]
+    )
+    sums = parts.reshape(k + 1, -1) @ _gather_sizes(n - k, k - h, h)
+    highs = (high @ _one_hot(k - h)).reshape(n - k, (n - k + h + 1) * u)
+    members = np.concatenate([sums[:k], highs @ _gather_sizes(n - k + h, k - h)])
+    totals = sums[k]
+    return members[:, 1:] - (totals[:-1] - members[:, :-1]), totals
+
+
 def _exact(
     model: CoalitionModel, game: Game, players: bool = True, totals: bool = True
 ) -> tuple[Valuation | None, np.ndarray | None]:
@@ -266,7 +366,11 @@ def _exact(
     integer voting weights, else enumeration of the 2^n table.  P(S = T) is
     f(|T|), so the table pass needs sums by size alone (``_table_sums``):
     each player's steps v(T + i) - v(T), one per pair, summed over the T of
-    each size, and v(T) summed over the T of each size.  The gain weighs the
+    each size, and v(T) summed over the T of each size.  When the valuation
+    is asked and every value is an integer with 2^n max|v| < 2^53,
+    ``_integer_sums`` takes the same bytes from one-hot products of table
+    blocks with no pair walk: each step sum is then a difference of exact
+    integer sums by size, which over floats would cancel.  The gain weighs the
     steps of size t by f(t + 1), the loss by f(t), and the totals take f(t)
     once per size.  The valuation's expected production is the number
     ``expected_production`` returns: the sum of those totals, or for an
@@ -323,8 +427,13 @@ def _exact(
             )
         table = game.dense_values()
         unscale = 1.0
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is met below
-            steps, sums = _table_sums(table, n, players)
+        # At n = 1 the walk's one pair is as fast as the products.
+        summed = _integer_sums(table, n) if players and n > 1 else None
+        if summed is not None:
+            steps, sums = summed
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow is met below
+                steps, sums = _table_sums(table, n, players)
         if not (np.isfinite(sums).all() and (steps is None or np.isfinite(steps).all())):
             # The values are finite, so a sum of them overflowed.  No sum of
             # 2^n values below 2^1024 / 2^(n + 1) does, and a power of two

@@ -8,12 +8,12 @@ degeneracy at the observed rate, the scaled-variance limit, the response of
 the mean to the tax rate, the semivariance sandwich, and the squared
 MAD-to-variance ratio.
 
-Everything here is the standard library, with three exceptions that
+Everything here is the standard library, with two exceptions that
 import what they need when they run.  The semivariance series sums its
-terms in numpy blocks; the median (the inverse incomplete beta) and the
-semivariances of shapes past 2^36 (the incomplete beta) take
-``scipy.special``.  So ``verify`` loads numpy only for ``--theorem 4``,
-and no CLI command on markets up to about 1e11 loads scipy.  The scalar
+terms in numpy blocks, and the median (the inverse incomplete beta) takes
+``scipy.special``; past 2^36 the semivariances take the Edgeworth value of
+the incomplete beta, with no import.  So ``verify`` loads numpy only for
+``--theorem 4``, and no CLI command loads scipy.  The scalar
 Stirling and Loader helpers live here, below the array layer, and
 ``coalition`` imports them.  The variance, semivariances and MAD are each one
 product of scaled factors, rounded once (``tests/test_posterior_map.py``).
@@ -224,7 +224,7 @@ def _lower_semivariance_series(a: float, b: float) -> float:
 
 
 # Beyond this smaller shape (markets of about 1e11 and more) the series
-# would need more than 3e6 terms (65 ms), and the incomplete beta takes over.
+# would need more than 3e6 terms (65 ms), and an Edgeworth value takes over.
 _SERIES_MAX_SHAPE = 2.0**36
 
 
@@ -234,8 +234,9 @@ def semivariances(a: float, b: float) -> tuple[float, float]:
     The smaller side is summed as a series of positive terms, the lower side
     when a <= b and, by the reflection x -> 1 - x, the upper side otherwise;
     the other side is the variance less it, which keeps at least half the
-    variance and so does not cancel.  Only when both shapes pass 2^36 do
-    the truncated moments go through scipy's regularized incomplete beta.
+    variance and so does not cancel.  Past 2^36 both sides take the Edgeworth
+    I_mu(a, b) = 1/2 + gamma / (6 sqrt(2 pi)), off by O(min(a, b)^-1.5), with
+    gamma the skewness formed so that a b cannot overflow (Hall 1992, ch. 2).
     """
     _check_shapes(a, b)
     var = beta_variance(a, b)
@@ -245,11 +246,10 @@ def semivariances(a: float, b: float) -> tuple[float, float]:
             return lower, var - lower
         upper = _lower_semivariance_series(b, a)
         return var - upper, upper
-    from scipy.special import betainc  # scipy loads only where it is needed
-
     mu = a / (a + b)
+    skew = 2.0 * ((b - a) / (a + b + 2.0)) * math.sqrt((a + b + 1.0) / a) / math.sqrt(b)
     dens = _scaled(_scaled_mode_factor(a, b), mu, 2.0 * mu - 1.0, over=(a, a + b + 1.0))
-    lower = var * float(betainc(a, b, mu)) + math.ldexp(*dens)
+    lower = var * (0.5 + skew / (6.0 * math.sqrt(2.0 * math.pi))) + math.ldexp(*dens)
     return lower, var - lower
 
 

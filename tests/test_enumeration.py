@@ -63,6 +63,12 @@ def _voting_at_attained_quota(n, rng):
     return WeightedVotingGame(w, float(w[rng.random(n) < 0.5].sum() or w[0]))
 
 
+def _integer_table(n, rng):
+    values = rng.integers(-1000, 1001, 1 << n).astype(float)
+    values[0] = 0.0
+    return DenseTableGame(n, values)
+
+
 def _voting_in_tenths(n, rng):
     # No weight is an integer; the quota is the float sum of half of them.
     w = rng.integers(0, 3, n) + rng.integers(1, 10, n) / 10
@@ -360,10 +366,11 @@ import hashlib
 import numpy as np
 from dichotomy import dvalue
 from dichotomy.coalition import CoalitionModel
-from dichotomy.production import random_dense_game
+from dichotomy.production import DenseTableGame, random_dense_game
 
 n = 18
-game = random_dense_game(n, np.random.default_rng(5))
+rng = np.random.default_rng(5)
+game = {game}
 model = CoalitionModel(n, 2.0, 3.0)
 val, by_size = dvalue._exact(model, game)
 gain_closed = dvalue.aggregate_gain_closed_form(model, game)
@@ -374,7 +381,15 @@ print(hashlib.sha256(b"".join(x.tobytes() for x in parts)).hexdigest())
 """
 
 
-def test_table_sums_keep_their_bytes_under_any_openblas_thread_count():
+@pytest.mark.parametrize(
+    "game",
+    [
+        "random_dense_game(n, rng)",
+        "DenseTableGame(n, np.r_[0.0, rng.integers(-1000, 1001, (1 << n) - 1)])",
+    ],
+    ids=["dense", "integer"],
+)
+def test_table_sums_keep_their_bytes_under_any_openblas_thread_count(game):
     # The by-size sums are BLAS products, each small enough that OpenBLAS
     # runs it on the calling thread: a pool of two threads moves no bit.
     src = str(Path(dvalue.__file__).resolve().parents[1])
@@ -382,7 +397,7 @@ def test_table_sums_keep_their_bytes_under_any_openblas_thread_count():
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
-            [sys.executable, "-c", _TABLE_DIGEST],
+            [sys.executable, "-c", _TABLE_DIGEST.format(game=game)],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         digests.add(proc.stdout)
@@ -435,25 +450,28 @@ class TestMemory:
         model, game = self._setup()
         assert peak_tables(lambda: fn(model, game), self.n) <= 8
 
+    @pytest.mark.parametrize("make", [random_dense_game, _integer_table])
     @pytest.mark.parametrize(
         "fn", [exact_valuation, aggregate_gain_closed_form, aggregate_loss_closed_form]
     )
-    def test_dense_table_paths(self, fn):
+    def test_dense_table_paths(self, fn, make):
         # Integer voting games are counted, with no table; a stored table
         # takes the enumeration paths, and is itself allocated beforehand.
         model = CoalitionModel(self.n, 2.0, 3.0)
-        game = random_dense_game(self.n, np.random.default_rng(5))
+        game = make(self.n, np.random.default_rng(5))
         assert peak_tables(lambda: fn(model, game), self.n) <= 3
 
-    def test_pair_walk_holds_block_buffers(self):
+    @pytest.mark.parametrize("make", [random_dense_game, _integer_table])
+    def test_pair_walk_holds_block_buffers(self, make):
         # Beside the stored table, the valuation holds two work buffers of
         # _PAIR_BLOCK floats, an eighth of a table at n = 18, and its
         # per-player step sums by size, not two half tables.
         model = CoalitionModel(self.n, 2.0, 3.0)
-        game = random_dense_game(self.n, np.random.default_rng(5))
+        game = make(self.n, np.random.default_rng(5))
         assert peak_tables(lambda: exact_valuation(model, game), self.n) < 1.3
 
 
+@pytest.mark.parametrize("make", [random_dense_game, _integer_table])
 @pytest.mark.parametrize(
     "fn, bound",
     [
@@ -462,11 +480,11 @@ class TestMemory:
         (aggregate_loss_closed_form, 0.05),
     ],
 )
-def test_table_passes_build_no_table_sized_array(fn, bound):
+def test_table_passes_build_no_table_sized_array(fn, bound, make):
     # Beside a stored table at n = 20, the valuation holds the walk's two
     # block buffers and its per-player step sums by size, and the closed
     # forms only their per-block sums: no weight or popcount per coalition.
     n = 20
     model = CoalitionModel(n, 2.0, 3.0)
-    game = random_dense_game(n, np.random.default_rng(5))
+    game = make(n, np.random.default_rng(5))
     assert peak_tables(lambda: fn(model, game), n) < bound

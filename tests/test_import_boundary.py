@@ -2,9 +2,8 @@
 and the scalar commands without numpy.
 
 Importing scipy costs tens of megabytes and a third of a second.  Only
-``posterior.beta_median``, which no CLI command calls, and the semivariances
-of shapes past 2^36 import ``scipy.special``, when they run, so no CLI
-command loads scipy.  The sampler (``numpy.random``) and the thread pool
+``posterior.beta_median``, which no CLI command calls, imports
+``scipy.special``, when it runs, so no CLI command loads scipy.  The sampler (``numpy.random``) and the thread pool
 load only when Monte Carlo runs, under ``--method mc``.  Importing numpy adds
 about 0.09 s to every cold start (138 ms against 50 ms for an empty
 interpreter on a shared 2-core x86-64 host), so the package re-exports its
