@@ -381,17 +381,7 @@ print(hashlib.sha256(b"".join(x.tobytes() for x in parts)).hexdigest())
 """
 
 
-@pytest.mark.parametrize(
-    "game",
-    [
-        "random_dense_game(n, rng)",
-        "DenseTableGame(n, np.r_[0.0, rng.integers(-1000, 1001, (1 << n) - 1)])",
-    ],
-    ids=["dense", "integer"],
-)
-def test_table_sums_keep_their_bytes_under_any_openblas_thread_count(game):
-    # The by-size sums are BLAS products, each small enough that OpenBLAS
-    # runs it on the calling thread: a pool of two threads moves no bit.
+def _table_digests_under_openblas_threads(game):
     src = str(Path(dvalue.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):
@@ -401,7 +391,19 @@ def test_table_sums_keep_their_bytes_under_any_openblas_thread_count(game):
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         digests.add(proc.stdout)
-    assert len(digests) == 1
+    return digests
+
+
+def test_table_sums_keep_their_bytes_under_any_openblas_thread_count():
+    # The by-size sums are BLAS products, each small enough that OpenBLAS
+    # runs it on the calling thread: a pool of two threads moves no bit.
+    assert len(_table_digests_under_openblas_threads("random_dense_game(n, rng)")) == 1
+
+
+def test_integer_table_sums_keep_their_bytes_under_any_openblas_thread_count():
+    # An integer table takes its sums from one-hot products, each as small.
+    game = "DenseTableGame(n, np.r_[0.0, rng.integers(-1000, 1001, (1 << n) - 1)])"
+    assert len(_table_digests_under_openblas_threads(game)) == 1
 
 
 def test_voting_certificate_across_blocks(tmp_path, monkeypatch, capsys):
@@ -450,9 +452,13 @@ class TestMemory:
         model, game = self._setup()
         assert peak_tables(lambda: fn(model, game), self.n) <= 8
 
-    @pytest.mark.parametrize("make", [random_dense_game, _integer_table])
     @pytest.mark.parametrize(
-        "fn", [exact_valuation, aggregate_gain_closed_form, aggregate_loss_closed_form]
+        "fn, make",
+        [
+            pytest.param(fn, make, id=fn.__name__ + suffix)
+            for fn in (exact_valuation, aggregate_gain_closed_form, aggregate_loss_closed_form)
+            for make, suffix in ((random_dense_game, ""), (_integer_table, "-integer"))
+        ],
     )
     def test_dense_table_paths(self, fn, make):
         # Integer voting games are counted, with no table; a stored table
@@ -461,23 +467,32 @@ class TestMemory:
         game = make(self.n, np.random.default_rng(5))
         assert peak_tables(lambda: fn(model, game), self.n) <= 3
 
-    @pytest.mark.parametrize("make", [random_dense_game, _integer_table])
-    def test_pair_walk_holds_block_buffers(self, make):
+    def test_pair_walk_holds_block_buffers(self):
         # Beside the stored table, the valuation holds two work buffers of
         # _PAIR_BLOCK floats, an eighth of a table at n = 18, and its
         # per-player step sums by size, not two half tables.
         model = CoalitionModel(self.n, 2.0, 3.0)
-        game = make(self.n, np.random.default_rng(5))
+        game = random_dense_game(self.n, np.random.default_rng(5))
+        assert peak_tables(lambda: exact_valuation(model, game), self.n) < 1.3
+
+    def test_integer_sums_hold_block_buffers(self):
+        # The one-hot products of an integer table stay within the bound
+        # of the walk they stand in for.
+        model = CoalitionModel(self.n, 2.0, 3.0)
+        game = _integer_table(self.n, np.random.default_rng(5))
         assert peak_tables(lambda: exact_valuation(model, game), self.n) < 1.3
 
 
-@pytest.mark.parametrize("make", [random_dense_game, _integer_table])
 @pytest.mark.parametrize(
-    "fn, bound",
+    "fn, bound, make",
     [
-        (exact_valuation, 0.25),
-        (aggregate_gain_closed_form, 0.05),
-        (aggregate_loss_closed_form, 0.05),
+        pytest.param(fn, bound, make, id=f"{fn.__name__}-{bound}{suffix}")
+        for fn, bound in (
+            (exact_valuation, 0.25),
+            (aggregate_gain_closed_form, 0.05),
+            (aggregate_loss_closed_form, 0.05),
+        )
+        for make, suffix in ((random_dense_game, ""), (_integer_table, "-integer"))
     ],
 )
 def test_table_passes_build_no_table_sized_array(fn, bound, make):
