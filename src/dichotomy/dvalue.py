@@ -68,23 +68,18 @@ _MAX_SAMPLES = 1 << 53
 # reach 2**_MC_MAX_EXP is scaled by a power of two, which is exact, so that
 # |marginal| < 2**401 and the sums of squares stay finite up to 2**220 samples.
 _MC_MAX_EXP = 400
-# Pairs per block of the pair walk.  A block's slices of the table and the
-# counts stay in L2 while every player runs over them.  A power of two of at
-# least 128, so that the block sums fold to the bits of numpy's pairwise sum,
-# which splits a contiguous array down to 128 entries.  ``_size_sums`` takes
-# a block as (2^7, 2^7) entries times a (2^7, 8) one-hot: 2^17 multiply-adds,
-# below the 65,536 * 4 where OpenBLAS's dgemm starts its thread pool (a
-# whole-table product at n = 20 does, and adds about 3 MB of peak RSS).
+# Pairs per block of the pair walk, and entries per table block of the sums
+# by size (``_size_sums``, ``_integer_sums``), both laid as (2^(k-h), 2^h)
+# with h = k // 2.  A block's slices of the table and the counts stay in L2
+# while every player runs over them.  A power of two of at least 128, so that
+# the block sums fold to the bits of numpy's pairwise sum, which splits a
+# contiguous array down to 128 entries.  Each block's product is 2^17
+# multiply-adds, below the 65,536 * 4 where OpenBLAS's dgemm starts its
+# thread pool (a whole-table product at n = 20 does, and adds about 3 MB of
+# peak RSS).  The last products, which gather the sums by size, pass it from
+# n = 23: at n = 24 the walk's steps take 24 * 640 * 24 = 368,640 and the
+# integer sums 15 * 704 * 25 = 264,000.
 _PAIR_BLOCK = 1 << 14
-# Entries per block of an integer table's one-hot products (``_integer_sums``)
-# and the low bits of a block that its membership columns resolve.  Every
-# product stays below the 65,536 * 4 multiply-adds where OpenBLAS's dgemm
-# starts its thread pool (the largest, 226,800, gathers the sums by size at
-# n = 24), as in ``_size_sums``.  Single-threaded, 2^13 entries and 5 bits
-# ran about as fast as 2^12 to 2^14 entries and 5 to 7 bits, and 4 bits
-# 1.3x slower at n = 16.
-_INT_BLOCK = 1 << 13
-_INT_LOW_BITS = 5
 # Draws per coalition up to which a size's count is spread by uniform ranks
 # rather than one multinomial call, which makes a binomial draw per
 # coalition.  Ranks are the faster up to 16 to 28 draws per coalition at
@@ -163,12 +158,12 @@ def _pair_walk(*arrays: np.ndarray):
     the bits of c around bit i, so T has |c| members.  The pair indices are
     cut into aligned blocks of ``_PAIR_BLOCK`` (one block when 2^(n-1) is no
     larger), and each block runs every player in turn, so that its slices of
-    the arrays stay in cache.  Yields (pairs, views, buffers) for each block
-    and player: ``pairs`` slices the block out of the pair indices, ``views``
-    holds the (T, T + i) views of each array, and ``buffers`` the walk's two
-    block-long scratch buffers, the same two at every step, each as (flat,
-    laid): ``laid`` shapes ``flat`` as the views, so that ufuncs called with
-    ``order="C"`` match each pair with its own entry of ``flat``.
+    the arrays stay in cache.  Yields (i, pairs, views, buffers) for each
+    block and bit i: ``pairs`` slices the block out of the pair indices,
+    ``views`` holds the (T, T + i) views of each array, and ``buffers`` the
+    walk's two block-long scratch buffers, the same two at every step, each as
+    (flat, laid): ``laid`` shapes ``flat`` as the views, so that ufuncs called
+    with ``order="C"`` match each pair with its own entry of ``flat``.
     """
     n = len(arrays[0]).bit_length() - 1
     size = min(1 << (n - 1), _PAIR_BLOCK)
@@ -191,7 +186,7 @@ def _pair_walk(*arrays: np.ndarray):
             views = [(x[without], x[with_]) for x in shaped]
             if i in (1, 2):
                 views = [(lo.T, hi.T) for lo, hi in views]
-            yield pairs, views, buffers
+            yield i, pairs, views, buffers
 
 
 def _fold(sums: list, n: int) -> np.ndarray:
@@ -281,10 +276,9 @@ def _table_sums(table: np.ndarray, n: int, players: bool):
     if players:
 
         def step_blocks():
-            # The walk yields its blocks with every player in turn.
-            for k, (pairs, [(lo, hi)], [(step, laid), _]) in enumerate(_pair_walk(table)):
+            for i, pairs, [(lo, hi)], [(step, laid), _] in _pair_walk(table):
                 np.subtract(hi, lo, out=laid, order="C")
-                yield k % n, pairs.start, step
+                yield i, pairs.start, step
 
         steps = _size_sums(step_blocks(), n, n - 1)
     size = min(1 << n, _PAIR_BLOCK)
@@ -302,22 +296,22 @@ def _integer_sums(table: np.ndarray, n: int):
     the sum of v(T + i) - v(T) that the pair walk forms.  Over floats this
     difference of large sums would cancel, which is why the walk exists.
 
-    Each aligned block of 2^k entries is checked (a float table is turned
-    away by its last 64 values, before any block), then summed into acc by
-    |start|: S = start + j has |start| + |j| members, so every block of one
-    |start| shares the sums of its k low bits.  For each of the high bits
-    that start holds, the block's entries summed by |j|, from the one-hot of
-    their h lowest bits, are added by |start| + |low|.  At the end, acc laid
-    as (2^(k-h), 2^h) per |start| meets the one-hot of its row bits and
-    ``_members(h)``, for the totals and the h lowest bits, and the one-hot
-    of h bits and ``_members(k - h)``, for the row bits; every sum by size
-    is gathered as in ``_size_sums``.
+    Each aligned block of 2^k entries, laid out as in ``_size_sums``, is
+    checked (a float table is turned away by its last 64 values, before any
+    block), then summed into acc by |start|: S = start + j has |start| + |j|
+    members, so every block of one |start| shares the sums of its k low
+    bits.  For each of the high bits that start holds, the block's entries
+    summed by |j|, from the one-hot of their h lowest bits, are added by
+    |start| + |low|.  At the end, acc laid as (2^(k-h), 2^h) per |start|
+    meets the one-hot of its row bits and ``_members(h)``, for the totals
+    and the h lowest bits, and the one-hot of h bits and ``_members(k - h)``,
+    for the row bits; every sum by size is gathered as in ``_size_sums``.
     """
     if not all(v.is_integer() for v in table[-64:].tolist()):
         return None
     bound = math.ldexp(1.0, 53 - n)
-    k = min(n, _INT_BLOCK.bit_length() - 1)
-    h = min(k, _INT_LOW_BITS)
+    k = min(n, _PAIR_BLOCK.bit_length() - 1)
+    h = k // 2
     rows = 1 << (k - h)
     lows = _one_hot(h)
     acc = np.zeros((n - k + 1, rows, 1 << h))  # [|start|, row, low]
@@ -351,7 +345,7 @@ def _integer_sums(table: np.ndarray, n: int):
             by_rows[None, :, :, h],
         ]
     )
-    sums = parts.reshape(k + 1, -1) @ _gather_sizes(n - k, k - h, h)
+    sums = parts.reshape(k + 1, -1) @ _size_gather(n, k)
     highs = (high @ _one_hot(k - h)).reshape(n - k, (n - k + h + 1) * u)
     members = np.concatenate([sums[:k], highs @ _gather_sizes(n - k + h, k - h)])
     totals = sums[k]
@@ -368,8 +362,8 @@ def _exact(
     each player's steps v(T + i) - v(T), one per pair, summed over the T of
     each size, and v(T) summed over the T of each size.  When the valuation
     is asked and every value is an integer with 2^n max|v| < 2^53,
-    ``_integer_sums`` takes the same bytes from one-hot products of table
-    blocks with no pair walk: each step sum is then a difference of exact
+    ``_integer_sums`` takes the same bytes, at any n, from one-hot products
+    of the walk's table blocks: each step sum is then a difference of exact
     integer sums by size, which over floats would cancel.  The gain weighs the
     steps of size t by f(t + 1), the loss by f(t), and the totals take f(t)
     once per size.  The valuation's expected production is the number
@@ -427,8 +421,7 @@ def _exact(
             )
         table = game.dense_values()
         unscale = 1.0
-        # At n = 1 the walk's one pair is as fast as the products.
-        summed = _integer_sums(table, n) if players and n > 1 else None
+        summed = _integer_sums(table, n) if players else None
         if summed is not None:
             steps, sums = summed
         else:
@@ -597,7 +590,7 @@ def _mc_table_sums(game: DenseTableGame, drawn: np.ndarray, scale: float) -> np.
     values = _scaled(game.table, scale)
     sums = []
     walk = _pair_walk(values, count)
-    for _, [(lo, hi), (outside, inside)], [(step, laid), (weighed, weighed_laid)] in walk:
+    for _, _, [(lo, hi), (outside, inside)], [(step, laid), (weighed, weighed_laid)] in walk:
         np.subtract(hi, lo, out=laid, order="C")
         row = []
         for rows in (inside, outside):  # the gain by count(T + i), the loss by count(T)

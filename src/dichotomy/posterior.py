@@ -76,6 +76,7 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 /
 def _stirlerr(x: float) -> float:
     """The Stirling remainder lgamma(x) - (x - 1/2) log x + x - log(2 pi) / 2:
     from lgamma below 10, from its series above."""
+    x = float(x)  # a numpy float's x * x warns where it overflows
     if x < 10.0:
         return math.lgamma(x) - (x - 0.5) * math.log(x) + x - 0.5 * math.log(2.0 * math.pi)
     y = 1.0 / (x * x)

@@ -1,8 +1,10 @@
+import itertools
 import json
 from functools import partial
 
 import numpy as np
 import pytest
+from _oracles import masked_is_monotone
 
 from dichotomy.apps import (
     LinearCurve,
@@ -24,6 +26,7 @@ from dichotomy.production import (
     DenseTableGame,
     KOutOfNGame,
     WeightedVotingGame,
+    random_monotone_game,
 )
 from dichotomy.taxpolicy import asymptotic_tax_rule
 
@@ -149,6 +152,80 @@ class TestVotingPower:
         report = voting_power(model, game, valuation)
         assert len(calls) == 1 and calls[0][0] is model and calls[0][1] is game
         assert report.power.tobytes() == voting_power(model, game).power.tobytes()
+
+
+def _certified(n, values):
+    """Whether ``voting_power`` takes the table as a voting game; the
+    valuation runs only then, and a rejection keeps its text."""
+    calls = []
+
+    def valuation(model, game):
+        calls.append(game)
+        return exact_valuation(model, game)
+
+    game = DenseTableGame(n, values)
+    try:
+        voting_power(CoalitionModel(n, 1.3, 0.8), game, valuation)
+    except DomainError as exc:
+        assert str(exc) == "voting games must be monotone"
+        assert calls == []
+        return False
+    assert calls == [game]
+    return True
+
+
+class TestTableCertificate:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_table_shorter_than_two_bytes(self, n):
+        # Every 0/1 table: at n = 1 and 2 the table fills part of one byte.
+        for tail in itertools.product([0.0, 1.0], repeat=(1 << n) - 1):
+            values = np.array([0.0, *tail])
+            assert _certified(n, values) == masked_is_monotone(values, n), values
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_voting_tables_with_and_without_a_flip(self, n):
+        # Masks 1 to 7 are where players 1 to 3 meet within a byte.
+        rng = np.random.default_rng([35, n])
+        masks = [*range(1, min(8, 1 << n)), *rng.integers(1, 1 << n, 3).tolist()]
+        outcomes = set()
+        for draw in range(6):
+            if draw % 2:
+                values = (random_monotone_game(n, rng).table >= 1.0).astype(float)
+            else:
+                w = rng.integers(0, 10, n).astype(float)
+                w[0] += 1.0
+                quota = float(rng.integers(1, w.sum() + 1))
+                values = WeightedVotingGame(w, quota).dense_values()
+            assert masked_is_monotone(values, n)
+            assert _certified(n, values)
+            for mask in masks:
+                flipped = values.copy()
+                flipped[mask] = 1.0 - flipped[mask]
+                monotone = masked_is_monotone(flipped, n)
+                assert _certified(n, flipped) == monotone, (draw, mask)
+                outcomes.add(monotone)
+        # One player cannot lower v below v(empty) = 0.
+        assert outcomes == ({False, True} if n > 1 else {True})
+
+    def test_negative_zeros_are_zeros(self):
+        n = 6
+        values = WeightedVotingGame([5, 4, 3, 2, 1, 1], 9).dense_values()
+        signed = np.where(values == 0.0, -0.0, values)
+        assert np.signbit(signed).any()
+        assert _certified(n, signed)
+        signed = signed.copy()  # the game holds the first array read-only
+        signed[-1] = -0.0  # the grand coalition now loses
+        assert not masked_is_monotone(signed, n)
+        assert not _certified(n, signed)
+
+    @pytest.mark.parametrize("bad", [2.0, -1.0, 0.5])
+    def test_a_value_outside_0_1_is_rejected_first(self, bad):
+        # [0, 1, 1, bad]: monotone when bad is 2.0, not when it is below 1.
+        calls = []
+        game = DenseTableGame(2, [0.0, 1.0, 1.0, bad])
+        with pytest.raises(DomainError, match=r"^voting games must take values in \{0,1\}$"):
+            voting_power(CoalitionModel(2, 1.0, 1.0), game, lambda *args: calls.append(args))
+        assert calls == []
 
 
 class TestInsurance:

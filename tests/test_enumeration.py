@@ -407,8 +407,9 @@ def test_integer_table_sums_keep_their_bytes_under_any_openblas_thread_count():
 
 
 def test_voting_certificate_across_blocks(tmp_path, monkeypatch, capsys):
-    # Blocks of 128 pairs, eight at n = 10: the first non-monotone pair may
-    # sit in any block, and the rejection keeps its text and exit code.
+    # The first non-monotone pair may sit anywhere in the packed table, and
+    # the rejection keeps its text and exit code; the monotone table is
+    # valued in blocks of 128 pairs, eight at n = 10.
     monkeypatch.setattr(dvalue, "_PAIR_BLOCK", 128)
     n = 10
     model = CoalitionModel(n, 2.0, 3.0)

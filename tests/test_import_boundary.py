@@ -12,6 +12,7 @@ need arrays.  Each check runs in a fresh interpreter, since this test
 process has numpy and scipy loaded already.
 """
 
+import ast
 import contextlib
 import io
 import json
@@ -259,3 +260,31 @@ def test_rule_commands_load_no_apps_or_posterior(tmp_path):
         "print('ok')"
     )
     assert _run(code).strip() == "ok"
+
+
+# (importing module, source module, name): each private name that one module
+# takes from another, so that every such name keeps one owner.
+_PRIVATE_IMPORTS = [
+    ("cli", "dvalue", "_closed_form"),
+    ("cli", "dvalue", "_exact"),
+    ("coalition", "posterior", "_BLOCK"),
+    ("coalition", "posterior", "_log_mode_factor"),
+    ("dvalue", "coalition", "_size_pmf_vector"),
+    ("dvalue", "production", "_COUNT_MAX_N"),
+    ("dvalue", "production", "_popcounts"),
+    ("dvalue", "production", "_voting_counts"),
+]
+
+
+def test_private_names_cross_modules_only_where_listed():
+    # Every ``from .x import _name``, at module level or in a function.
+    found = []
+    for path in sorted(Path(dichotomy.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [
+                    (path.stem, node.module, alias.name)
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                ]
+    assert sorted(found) == _PRIVATE_IMPORTS

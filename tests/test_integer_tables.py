@@ -50,7 +50,7 @@ def _at_2_53(n, rng):
 
 def _one_fraction_in_the_last_block(n, rng):
     values = _signed(n, rng)
-    values[(1 << n) - min(1 << n, dvalue._INT_BLOCK) + 1] += 0.5
+    values[(1 << n) - min(1 << n, dvalue._PAIR_BLOCK) + 1] += 0.5
     return values
 
 
@@ -106,8 +106,8 @@ def test_products_keep_the_bytes_of_the_walk(name, n, monkeypatch):
     monkeypatch.setattr(dvalue, "_integer_sums", recording)
     models = [CoalitionModel(n, *shape) for shape in _SHAPES]
     got = [_digest(model, game) for model in models]
-    # Valued by the products wherever they apply, but at n = 1.
-    assert any(taken) == (name in _PRODUCTS and n > 1)
+    # Valued by the products wherever they apply.
+    assert any(taken) == (name in _PRODUCTS)
     monkeypatch.setattr(dvalue, "_integer_sums", lambda table, n: None)
     assert got == [_digest(model, game) for model in models]
 
@@ -115,10 +115,23 @@ def test_products_keep_the_bytes_of_the_walk(name, n, monkeypatch):
 @pytest.mark.parametrize("n", range(1, 13))
 @pytest.mark.parametrize("name", list(_PRODUCTS))
 def test_small_blocks_keep_the_bytes_of_the_walk(name, n, monkeypatch):
-    # Blocks of 2^6 entries with 2 low bits: from n = 7 on a table takes
+    # Blocks of 2^6 entries laid as (2^3, 2^3): from n = 7 on a table takes
     # several blocks, and the high bits of each block's start are summed too.
-    monkeypatch.setattr(dvalue, "_INT_BLOCK", 1 << 6)
-    monkeypatch.setattr(dvalue, "_INT_LOW_BITS", 2)
+    monkeypatch.setattr(dvalue, "_PAIR_BLOCK", 1 << 6)
+    table = _table(name, n).table
+    steps, totals = dvalue._integer_sums(table, n)
+    want_steps, want_totals = dvalue._table_sums(table, n, True)
+    assert steps.tobytes() == want_steps.tobytes()
+    assert totals.tobytes() == want_totals.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:enumerating")
+@pytest.mark.parametrize("n", [22, 24])
+@pytest.mark.parametrize("name", ["voting", "below-2^53"])
+def test_products_keep_the_bytes_of_the_walk_past_n_20(name, n):
+    # From n = 15 on a table takes several blocks of 2^14 entries, and from
+    # n = 23 the products that gather the sums by size are large enough for
+    # OpenBLAS to thread.
     table = _table(name, n).table
     steps, totals = dvalue._integer_sums(table, n)
     want_steps, want_totals = dvalue._table_sums(table, n, True)

@@ -186,6 +186,16 @@ class TestMad:
             assert abs(mad_about_mean(a, b) / mad - 1) <= 1e-13
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fn", [semivariances, mad_about_mean, beta_variance])
+@pytest.mark.parametrize("a, b", [(1e200, 3e250), (3e250, 1e200), (2.5, 1.5), (1e5, 3e7)])
+def test_numpy_float_shapes_keep_the_bits_of_python_floats(fn, a, b):
+    # Past about 1.3e154 a numpy float's x * x overflows with a warning,
+    # where a Python float's overflows to inf silently.
+    got = fn(np.float64(a), np.float64(b))
+    assert np.array(got, dtype=float).tobytes() == np.array(fn(a, b), dtype=float).tobytes()
+
+
 class TestSemivariances:
     def test_symmetric_split(self):
         lo, up = semivariances(6.0, 6.0)
